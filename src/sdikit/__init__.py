@@ -20,7 +20,9 @@ from .automata import (
     complete,
     determinize,
     enumerate_language,
+    equivalence_witness,
     equivalent,
+    inclusion_witness,
     is_deterministic,
     is_empty,
     is_finite_language,

@@ -7,6 +7,7 @@ every operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -26,7 +27,7 @@ class InputError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A construction exceeded its configured state budget."""
+    """A construction or search exceeded its configured state budget."""
 
     def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
@@ -393,14 +394,106 @@ def canonicalize(a: Nfa) -> Nfa:
     return as_dfa(out) if isinstance(a, Dfa) else out
 
 
-def is_subset(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
-    """L(a) ⊆ L(b), decided via emptiness of a ∩ complement(b)."""
+def _successor_masks(a: Nfa) -> list[list[int]]:
+    """Per symbol in alphabet order, the successor bitset of each state."""
+    column = {sym: i for i, sym in enumerate(a.alphabet)}
+    table = [[0] * a.state_count for _ in a.alphabet]
+    for src, sym, dst in a.transitions:
+        table[column[sym]][src] |= 1 << dst
+    return table
+
+
+def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
+    """Length-lex least word accepted by `a` but not by `b` (by exactly
+    one of them when `equivalence`), or None when there is none.
+
+    Breadth-first search over pairs (P, S) of the subsets of states of `a`
+    and `b` that one word reaches, held as int bitsets and built only as
+    far as needed.  The queue is FIFO and symbols go in alphabet order, so
+    pairs are found in the length-lex order of the least words that reach
+    them, and the first pair that breaks the relation gives the least
+    witness.  For inclusion a pair with P empty can never break it and is
+    not explored; for equivalence only the dead pair (0, 0) is skipped.
+    Raises ResourceLimitError when more than `cap` pairs are explored.
+    """
     _require_same_alphabet(a, b)
-    return is_empty(product_intersection(a, complement_nfa(b, cap)))
+    symbols = a.alphabet.symbols
+    masks_a, masks_b = _successor_masks(a), _successor_masks(b)
+    finals_a = sum(1 << q for q in a.finals)
+    finals_b = sum(1 << q for q in b.finals)
+    memo_a: dict[int, list[int]] = {}
+    memo_b: dict[int, list[int]] = {}
+
+    def successors(subset: int, masks: list[list[int]], memo: dict[int, list[int]]) -> list[int]:
+        out = memo.get(subset)  # many pairs share a subset: step each one once
+        if out is None:
+            out = [0] * len(masks)
+            rest = subset
+            while rest:
+                low = rest & -rest
+                q = low.bit_length() - 1
+                for i, row in enumerate(masks):
+                    out[i] |= row[q]
+                rest ^= low
+            memo[subset] = out
+        return out
+
+    def breaks(pair: tuple[int, int]) -> bool:
+        in_a, in_b = bool(pair[0] & finals_a), bool(pair[1] & finals_b)
+        return in_a != in_b if equivalence else in_a and not in_b
+
+    start = (1 << a.initial, 1 << b.initial)
+    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
+    found = start if breaks(start) else None
+    queue = deque([start])
+    while queue and found is None:
+        pair = queue.popleft()
+        steps_a = successors(pair[0], masks_a, memo_a)
+        steps_b = successors(pair[1], masks_b, memo_b)
+        for sym, p, s in zip(symbols, steps_a, steps_b):
+            nxt = (p, s)
+            if nxt in parent or not (p or (equivalence and s)):
+                continue
+            if len(parent) >= cap:
+                raise ResourceLimitError(
+                    f"subset-pair search exceeded {cap} pairs",
+                    {"cap": cap, "input_states": a.state_count + b.state_count},
+                )
+            parent[nxt] = (pair, sym)
+            if breaks(nxt):
+                found = nxt
+                break
+            queue.append(nxt)
+    if found is None:
+        return None
+    word: list[str] = []
+    link = parent[found]
+    while link is not None:
+        found, sym = link
+        word.append(sym)
+        link = parent[found]
+    return "".join(reversed(word))
+
+
+def inclusion_witness(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> Word | None:
+    """Length-lex least word of L(a) − L(b), or None when L(a) ⊆ L(b)."""
+    return _subset_witness(a, b, False, cap)
+
+
+def equivalence_witness(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> Word | None:
+    """Length-lex least word in exactly one of L(a), L(b), or None when
+    the languages are equal."""
+    return _subset_witness(a, b, True, cap)
+
+
+def is_subset(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
+    """L(a) ⊆ L(b)."""
+    return inclusion_witness(a, b, cap) is None
 
 
 def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
-    return is_subset(a, b, cap) and is_subset(b, a, cap)
+    """L(a) = L(b)."""
+    return equivalence_witness(a, b, cap) is None
 
 
 def enumerate_language(a: Nfa, max_len: int) -> list[Word]:

@@ -417,9 +417,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EquationResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

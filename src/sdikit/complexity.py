@@ -106,7 +106,6 @@ def fooling_set_search(
         return not (in_lang(p[0] + q[1]) and in_lang(q[0] + p[1]))
 
     rng = random.Random(seed)
-    best: list[tuple[Word, Word]] = []
     for attempt in range(restarts):
         order = list(pairs)
         if attempt:
@@ -117,8 +116,6 @@ def fooling_set_search(
                 chosen.append(cand)
             if len(chosen) >= target:
                 return FoolingSet(tuple(chosen))
-        if len(chosen) > len(best):
-            best = chosen
     return None
 
 

@@ -19,10 +19,9 @@ from .automata import (
     InputError,
     Nfa,
     Word,
-    complement_nfa,
     enumerate_language,
+    inclusion_witness,
     is_empty,
-    is_subset,
     membership,
     product_intersection,
     shortest_word,
@@ -111,15 +110,12 @@ def is_maxmin_sdi_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionRe
 
 
 def is_closed_under_sdi(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> DecisionReport:
-    """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may hit
-    the determinization cap, reported as a resource error."""
+    """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may
+    explore more than `cap` subset pairs, reported as a resource error."""
     grown = sdi_nfa_direct(a, a)
-    answer = is_subset(grown, a, cap)
-    witness = None
-    if not answer:
-        witness = shortest_word(product_intersection(grown, complement_nfa(a, cap)))
+    witness = inclusion_witness(grown, a, cap)
     return DecisionReport(
-        "closed-sdi", answer, witness, {"construction_states": grown.state_count}
+        "closed-sdi", witness is None, witness, {"construction_states": grown.state_count}
     )
 
 
@@ -128,13 +124,10 @@ def closed_under_finite_maxmin(
 ) -> DecisionReport:
     """L(a) max/min-inserted with a finite language stays inside L(a)?"""
     grown = regular_max_sdi_finite(a, words, variant)
-    answer = is_subset(grown, a, cap)
-    witness = None
-    if not answer:
-        witness = shortest_word(product_intersection(grown, complement_nfa(a, cap)))
+    witness = inclusion_witness(grown, a, cap)
     return DecisionReport(
         _maxmin_name(variant, "closed-finite"),
-        answer,
+        witness is None,
         witness,
         {"construction_states": grown.state_count},
     )

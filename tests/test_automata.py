@@ -8,9 +8,12 @@ from sdikit import (
     Nfa,
     ResourceLimitError,
     complement,
+    complement_nfa,
     determinize,
     enumerate_language,
+    equivalence_witness,
     equivalent,
+    inclusion_witness,
     is_empty,
     is_finite_language,
     is_subset,
@@ -161,6 +164,51 @@ def test_subset_partial_order():
         for b in autos:
             if is_subset(a, b) and is_subset(b, a):
                 assert equivalent(a, b)
+
+
+def _random_pairs(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        alphabet = ABC if i % 3 == 0 else AB
+        density = rng.uniform(0.05, 0.5)
+        yield (random_nfa(rng, rng.randint(1, 6), alphabet, density),
+               random_nfa(rng, rng.randint(1, 6), alphabet, density))
+
+
+def test_inclusion_witness_matches_complement_product():
+    # reference: the least word of a ∩ complement(b), built in full
+    for a, b in _random_pairs(29, 600):
+        expected = shortest_word(product_intersection(a, complement_nfa(b)))
+        assert inclusion_witness(a, b) == expected
+        assert is_subset(a, b) == (expected is None)
+
+
+def test_equivalence_witness_is_in_exactly_one_language():
+    for a, b in _random_pairs(31, 300):
+        witness = equivalence_witness(a, b)
+        one_way = [w for w in (inclusion_witness(a, b), inclusion_witness(b, a)) if w is not None]
+        assert witness == min(one_way, key=lambda w: (len(w), w), default=None)
+        if witness is not None:
+            assert membership(a, witness) != membership(b, witness)
+
+
+def test_equivalence_sees_words_only_the_right_side_accepts():
+    # L(b) − L(a) = {abb}: found only through pairs whose left subset is empty
+    a = Nfa.from_word("ab", AB)
+    b = Nfa.from_words(["ab", "abb"], AB)
+    assert inclusion_witness(a, b) is None
+    assert equivalence_witness(a, b) == "abb"
+    assert not equivalent(a, b)
+    assert equivalence_witness(b, a) == "abb"
+
+
+def test_subset_pair_search_cap():
+    a = astar_b()
+    assert is_subset(a, a) and equivalent(a, a)
+    with pytest.raises(ResourceLimitError):
+        is_subset(a, a, cap=1)
+    with pytest.raises(ResourceLimitError):
+        equivalent(a, a, cap=1)
 
 
 def test_determinize_preserves_language():

@@ -2,7 +2,10 @@
 
 States are dense integer ids 0..state_count-1 with a single initial state
 and no epsilon transitions.  All values are immutable after construction;
-every operation is a pure function of its inputs.
+every operation is a pure function of its inputs.  Every reachable-state
+construction numbers its states through `_explore`: the start state is 0
+and each new state takes the next id when it is first reached from a
+LIFO worklist; each is capped at `DEFAULT_STATE_CAP` states by default.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Word = str
 
@@ -197,12 +200,59 @@ def as_dfa(a: Nfa) -> Dfa:
     return Dfa(a.alphabet, a.state_count, a.initial, a.finals, a.transitions)
 
 
-def _require_same_alphabet(a: Nfa, b: Nfa) -> Alphabet:
-    if a.alphabet != b.alphabet:
+def _require_same_alphabet(alphabet: Alphabet, a: Nfa) -> Alphabet:
+    if alphabet != a.alphabet:
         raise InputError(
-            f"alphabet mismatch: {''.join(a.alphabet)!r} vs {''.join(b.alphabet)!r}"
+            f"alphabet mismatch: {''.join(alphabet)!r} vs {''.join(a.alphabet)!r}"
         )
-    return a.alphabet
+    return alphabet
+
+
+def _explore(
+    start: Hashable,
+    expand: Callable[[Hashable], Iterable[tuple[str | None, Hashable]]],
+    is_final: Callable[[Hashable], bool],
+    cap: int = DEFAULT_STATE_CAP,
+) -> tuple[int, set[int], set[tuple[int, str | None, int]]]:
+    """Number the keys reachable from `start` and collect their moves.
+
+    `expand(key)` yields the (symbol, key) moves out of a key; a None
+    symbol is an internal epsilon move.  The worklist is LIFO and a key
+    gets the next id the first time a move reaches it, `start` being 0;
+    serialized output depends on this order.  Returns (state_count,
+    finals, transitions) over ids.  Raises ResourceLimitError when more
+    than `cap` keys are reached.
+    """
+    ids = {start: 0}
+    queue = [start]
+    finals: set[int] = set()
+    trans: set[tuple[int, str | None, int]] = set()
+    while queue:
+        key = queue.pop()
+        sid = ids[key]
+        if is_final(key):
+            finals.add(sid)
+        for sym, nxt in expand(key):
+            nid = ids.get(nxt)
+            if nid is None:
+                if len(ids) >= cap:
+                    raise ResourceLimitError(f"exploration exceeded {cap} states", {"cap": cap})
+                nid = ids[nxt] = len(ids)
+                queue.append(nxt)
+            trans.add((sid, sym, nid))
+    return len(ids), finals, trans
+
+
+def _reach(seeds: Iterable[int], adjacency: Mapping[int, Iterable[int]]) -> set[int]:
+    """The seeds and every node reachable from them along `adjacency`."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for nxt in adjacency.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def membership(a: Nfa, word: Word) -> bool:
@@ -221,30 +271,17 @@ def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Raises ResourceLimitError when more than `cap` subset states appear.
     """
-    start = frozenset({a.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
-    queue = [start]
-    trans: set[tuple[int, str, int]] = set()
-    finals: set[int] = set()
-    while queue:
-        subset = queue.pop()
-        sid = ids[subset]
-        if subset & a.finals:
-            finals.add(sid)
+
+    def expand(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
         for sym in a.alphabet:
             nxt = a.step(subset, sym)
-            if not nxt:
-                continue
-            if nxt not in ids:
-                if len(ids) >= cap:
-                    raise ResourceLimitError(
-                        f"determinization exceeded {cap} states",
-                        {"cap": cap, "input_states": a.state_count},
-                    )
-                ids[nxt] = len(ids)
-                queue.append(nxt)
-            trans.add((sid, sym, ids[nxt]))
-    return Dfa(a.alphabet, len(ids), 0, frozenset(finals), frozenset(trans))
+            if nxt:
+                yield sym, nxt
+
+    count, finals, trans = _explore(
+        frozenset({a.initial}), expand, lambda subset: not a.finals.isdisjoint(subset), cap
+    )
+    return Dfa(a.alphabet, count, 0, finals, trans)
 
 
 def complete(d: Dfa) -> Dfa:
@@ -276,80 +313,55 @@ def complement_nfa(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for L(a) ∩ L(b), reachable pairs only."""
-    _require_same_alphabet(a, b)
-    start = (a.initial, b.initial)
-    ids: dict[tuple[int, int], int] = {start: 0}
-    queue = [start]
-    trans: set[tuple[int, str, int]] = set()
-    finals: set[int] = set()
-    while queue:
-        pair = queue.pop()
+    alphabet = _require_same_alphabet(a.alphabet, b)
+
+    def expand(pair: tuple[int, int]) -> Iterator[tuple[str, tuple[int, int]]]:
         p, q = pair
-        pid = ids[pair]
-        if p in a.finals and q in b.finals:
-            finals.add(pid)
-        for sym in a.alphabet:
+        for sym in alphabet:
             for p2 in a.successors(p, sym):
                 for q2 in b.successors(q, sym):
-                    nxt = (p2, q2)
-                    if nxt not in ids:
-                        ids[nxt] = len(ids)
-                        queue.append(nxt)
-                    trans.add((pid, sym, ids[nxt]))
-    return Nfa(a.alphabet, len(ids), 0, frozenset(finals), frozenset(trans))
+                    yield sym, (p2, q2)
+
+    count, finals, trans = _explore(
+        (a.initial, b.initial), expand, lambda pair: pair[0] in a.finals and pair[1] in b.finals
+    )
+    return Nfa(alphabet, count, 0, finals, trans)
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
-    """Single-initial union: a fresh initial state mirrors both originals."""
-    _require_same_alphabet(a, b)
-    off_a, off_b = 1, 1 + a.state_count
-    trans: set[tuple[int, str, int]] = set()
-    trans.update((src + off_a, sym, dst + off_a) for src, sym, dst in a.transitions)
-    trans.update((src + off_b, sym, dst + off_b) for src, sym, dst in b.transitions)
-    for sym in a.alphabet:
-        trans.update((0, sym, dst + off_a) for dst in a.successors(a.initial, sym))
-        trans.update((0, sym, dst + off_b) for dst in b.successors(b.initial, sym))
-    finals = {q + off_a for q in a.finals} | {q + off_b for q in b.finals}
-    if a.initial in a.finals or b.initial in b.finals:
-        finals.add(0)
-    return Nfa(a.alphabet, 1 + a.state_count + b.state_count, 0, frozenset(finals), frozenset(trans))
+    """Single-initial union of two automata, numbered as `union_all`."""
+    return union_all([a, b], a.alphabet)
 
 
 def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:
-    result = Nfa.empty_language(alphabet)
+    """Single-initial union: a fresh initial state 0 mirrors the initial
+    state of every operand, whose states follow in operand order."""
+    trans: set[tuple[int, str, int]] = set()
+    finals: set[int] = set()
+    offset = 1
     for a in automata:
-        result = union(result, a)
-    return result
+        _require_same_alphabet(alphabet, a)
+        trans.update((src + offset, sym, dst + offset) for src, sym, dst in a.transitions)
+        trans.update((0, sym, dst + offset) for src, sym, dst in a.transitions if src == a.initial)
+        finals.update(q + offset for q in a.finals)
+        if a.initial in a.finals:
+            finals.add(0)
+        offset += a.state_count
+    return Nfa(alphabet, offset, 0, finals, trans)
 
 
 def _reachable(a: Nfa) -> set[int]:
-    seen = {a.initial}
-    queue = [a.initial]
     fwd: dict[int, list[int]] = {}
     for src, _, dst in a.transitions:
         fwd.setdefault(src, []).append(dst)
-    while queue:
-        q = queue.pop()
-        for dst in fwd.get(q, ()):
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return seen
+    return _reach([a.initial], fwd)
 
 
 def _coreachable(a: Nfa) -> set[int]:
     rev: dict[int, list[int]] = {}
     for src, _, dst in a.transitions:
         rev.setdefault(dst, []).append(src)
-    seen = set(a.finals)
-    queue = list(a.finals)
-    while queue:
-        q = queue.pop()
-        for src in rev.get(q, ()):
-            if src not in seen:
-                seen.add(src)
-                queue.append(src)
-    return seen
+    return _reach(a.finals, rev)
 
 
 def is_empty(a: Nfa) -> bool:
@@ -416,8 +428,7 @@ def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
     not explored; for equivalence only the dead pair (0, 0) is skipped.
     Raises ResourceLimitError when more than `cap` pairs are explored.
     """
-    _require_same_alphabet(a, b)
-    symbols = a.alphabet.symbols
+    symbols = _require_same_alphabet(a.alphabet, b).symbols
     masks_a, masks_b = _successor_masks(a), _successor_masks(b)
     finals_a = sum(1 << q for q in a.finals)
     finals_b = sum(1 << q for q in b.finals)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import complexity, decide, equations
 from .automata import (
@@ -187,59 +188,71 @@ def _report_exit(report: decide.DecisionReport) -> int:
     return EXIT_TRUE if report.answer else EXIT_FALSE
 
 
+def _counterexample(variant: SdiVariant, a: Nfa, max_len: int) -> int:
+    witness = decide.closure_counterexample_search(variant, a, max_len)
+    if witness is None:
+        print(f"no counterexample up to length {max_len} (not a closure proof)")
+        return EXIT_TRUE
+    print(f"counterexample: {format_word(witness)}")
+    return EXIT_FALSE
+
+
+# operand kind -> (usage text, per operand file: is it a word list, needs --max-len)
+_OPERAND_KINDS = {
+    "automata": ("two automaton files", (False, False), False),
+    "automaton": ("one automaton file", (False,), False),
+    "automaton+words": ("an automaton file and a word-list file", (False, True), False),
+    "automaton+max-len": ("one automaton file", (False,), True),
+}
+
+# predicate -> (operand kind, decider over the loaded operands).  A decider
+# returns a DecisionReport, or the exit code when it takes --max-len.  The
+# lambdas look `decide` functions up at call time, so patching the module
+# (as a tracer does) reaches them.
+_DECIDERS = {
+    "sdi-free": ("automata", lambda a, b: decide.is_sdi_free(a, b)),
+    "sdi-independent": ("automata", lambda a, b: decide.is_sdi_independent(a, b)),
+    "asdi-free": ("automata", lambda a, b: decide.is_asdi_free(a, b)),
+    "asdi-independent": ("automata", lambda a, b: decide.is_asdi_independent(a, b)),
+    "maxsdi-free": ("automata", lambda a, b: decide.is_maxmin_sdi_free(SdiVariant.MAXIMAL, a, b)),
+    "minsdi-free": ("automata", lambda a, b: decide.is_maxmin_sdi_free(SdiVariant.MINIMAL, a, b)),
+    "maxsdi-independent": (
+        "automata", lambda a, b: decide.is_maxmin_sdi_independent(SdiVariant.MAXIMAL, a, b)
+    ),
+    "minsdi-independent": (
+        "automata", lambda a, b: decide.is_maxmin_sdi_independent(SdiVariant.MINIMAL, a, b)
+    ),
+    "closed-sdi": ("automaton", lambda a: decide.is_closed_under_sdi(a)),
+    "closed-finite-max": (
+        "automaton+words",
+        lambda a, words: decide.closed_under_finite_maxmin(SdiVariant.MAXIMAL, a, words),
+    ),
+    "closed-finite-min": (
+        "automaton+words",
+        lambda a, words: decide.closed_under_finite_maxmin(SdiVariant.MINIMAL, a, words),
+    ),
+    "two-var-solvable": ("automaton", lambda a: decide.two_var_solvable(a)),
+    "counterexample-sdi": ("automaton+max-len", partial(_counterexample, SdiVariant.GENERAL)),
+    "counterexample-max": ("automaton+max-len", partial(_counterexample, SdiVariant.MAXIMAL)),
+    "counterexample-min": ("automaton+max-len", partial(_counterexample, SdiVariant.MINIMAL)),
+}
+
+
 def _cmd_decide(args) -> int:
     pred = args.predicate
-    if pred in ("sdi-free", "sdi-independent", "asdi-free", "asdi-independent",
-                "maxsdi-free", "minsdi-free", "maxsdi-independent", "minsdi-independent"):
-        if len(args.operands) != 2:
-            raise _UsageError(f"{pred} needs two automaton files")
-        a, b = (load_automaton(p) for p in args.operands)
-        if pred == "sdi-free":
-            return _report_exit(decide.is_sdi_free(a, b))
-        if pred == "sdi-independent":
-            return _report_exit(decide.is_sdi_independent(a, b))
-        if pred == "asdi-free":
-            return _report_exit(decide.is_asdi_free(a, b))
-        if pred == "asdi-independent":
-            return _report_exit(decide.is_asdi_independent(a, b))
-        variant = SdiVariant.MAXIMAL if pred.startswith("max") else SdiVariant.MINIMAL
-        if pred.endswith("free"):
-            return _report_exit(decide.is_maxmin_sdi_free(variant, a, b))
-        return _report_exit(decide.is_maxmin_sdi_independent(variant, a, b))
-    if pred == "closed-sdi":
-        if len(args.operands) != 1:
-            raise _UsageError("closed-sdi needs one automaton file")
-        return _report_exit(decide.is_closed_under_sdi(load_automaton(args.operands[0])))
-    if pred in ("closed-finite-max", "closed-finite-min"):
-        if len(args.operands) != 2:
-            raise _UsageError(f"{pred} needs an automaton file and a word-list file")
-        a = load_automaton(args.operands[0])
-        words = load_words(args.operands[1])
-        variant = SdiVariant.MAXIMAL if pred.endswith("max") else SdiVariant.MINIMAL
-        return _report_exit(decide.closed_under_finite_maxmin(variant, a, words))
-    if pred == "two-var-solvable":
-        if len(args.operands) != 1:
-            raise _UsageError("two-var-solvable needs one automaton file")
-        return _report_exit(decide.two_var_solvable(load_automaton(args.operands[0])))
-    if pred in ("counterexample-sdi", "counterexample-max", "counterexample-min"):
-        if len(args.operands) != 1:
-            raise _UsageError(f"{pred} needs one automaton file")
-        if args.max_len is None:
-            raise _UsageError(f"{pred} needs --max-len")
-        variant = {
-            "counterexample-sdi": SdiVariant.GENERAL,
-            "counterexample-max": SdiVariant.MAXIMAL,
-            "counterexample-min": SdiVariant.MINIMAL,
-        }[pred]
-        witness = decide.closure_counterexample_search(
-            variant, load_automaton(args.operands[0]), args.max_len
-        )
-        if witness is None:
-            print(f"no counterexample up to length {args.max_len} (not a closure proof)")
-            return EXIT_TRUE
-        print(f"counterexample: {format_word(witness)}")
-        return EXIT_FALSE
-    raise _UsageError(f"unknown predicate {pred!r}")
+    kind, decider = _DECIDERS[pred]
+    usage, word_lists, bounded = _OPERAND_KINDS[kind]
+    if len(args.operands) != len(word_lists):
+        raise _UsageError(f"{pred} needs {usage}")
+    if bounded and args.max_len is None:
+        raise _UsageError(f"{pred} needs --max-len")
+    operands = [
+        load_words(path) if words else load_automaton(path)
+        for words, path in zip(word_lists, args.operands)
+    ]
+    if bounded:
+        return decider(*operands, args.max_len)
+    return _report_exit(decider(*operands))
 
 
 def _cmd_solve(args) -> int:
@@ -357,15 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_member.set_defaults(func=_cmd_member)
 
     p_decide = sub.add_parser("decide", help="decision procedures")
-    p_decide.add_argument(
-        "predicate",
-        choices=[
-            "sdi-free", "sdi-independent", "asdi-free", "asdi-independent",
-            "maxsdi-free", "minsdi-free", "maxsdi-independent", "minsdi-independent",
-            "closed-sdi", "closed-finite-max", "closed-finite-min", "two-var-solvable",
-            "counterexample-sdi", "counterexample-max", "counterexample-min",
-        ],
-    )
+    p_decide.add_argument("predicate", choices=list(_DECIDERS))
     p_decide.add_argument("operands", nargs="*")
     p_decide.add_argument("--max-len", type=int, help="bound for counterexample search")
     p_decide.set_defaults(func=_cmd_decide)

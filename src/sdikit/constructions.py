@@ -11,7 +11,7 @@ for the general and m + mn + m for the alphabetic variant.
 
 from __future__ import annotations
 
-from .automata import Alphabet, InputError, Nfa, Word, membership, trim, union_all
+from .automata import Alphabet, InputError, Nfa, Word, _explore, membership, trim, union_all
 from .automata import complement_nfa, product_intersection, DEFAULT_STATE_CAP
 from .oracle import SdiVariant, unbordered
 
@@ -22,29 +22,6 @@ def _check_operands(a: Nfa, b: Nfa) -> Alphabet:
     return a.alphabet
 
 
-class _Builder:
-    """Reachable-state NFA assembly keyed by arbitrary hashable state labels."""
-
-    def __init__(self, alphabet: Alphabet, start):
-        self.alphabet = alphabet
-        self.ids: dict = {start: 0}
-        self.queue = [start]
-        self.trans: set[tuple[int, str, int]] = set()
-        self.finals: set[int] = set()
-
-    def add(self, src_id: int, sym: str, key) -> None:
-        nid = self.ids.get(key)
-        if nid is None:
-            nid = self.ids[key] = len(self.ids)
-            self.queue.append(key)
-        self.trans.add((src_id, sym, nid))
-
-    def build(self) -> Nfa:
-        return Nfa(
-            self.alphabet, len(self.ids), 0, frozenset(self.finals), frozenset(self.trans)
-        )
-
-
 def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     """NFA for site-directed insertion of L(b) into L(a).
 
@@ -52,21 +29,19 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     (the z phase cannot be skipped).
     """
     alphabet = _check_operands(a, b)
-    builder = _Builder(alphabet, ("pre", a.initial))
-    while builder.queue:
-        key = builder.queue.pop()
-        sid = builder.ids[key]
+
+    def expand(key):
         phase = key[0]
         if phase == "pre":
             _, p = key
             for sym in alphabet:
                 a_moves = a.successors(p, sym)
                 for p2 in a_moves:
-                    builder.add(sid, sym, ("pre", p2))
+                    yield sym, ("pre", p2)
                 b_entry = b.successors(b.initial, sym)
                 for p2 in a_moves:
                     for q2 in b_entry:
-                        builder.add(sid, sym, ("u", p2, q2))
+                        yield sym, ("u", p2, q2)
         elif phase == "u":
             _, p, q = key
             for sym in alphabet:
@@ -74,41 +49,44 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
                 b_moves = b.successors(q, sym)
                 for p2 in a_moves:
                     for q2 in b_moves:
-                        builder.add(sid, sym, ("u", p2, q2))
+                        yield sym, ("u", p2, q2)
                         if not require_insertion:
-                            builder.add(sid, sym, ("v", p2, q2))
+                            yield sym, ("v", p2, q2)
                 for q2 in b_moves:
-                    builder.add(sid, sym, ("z", p, q2))
+                    yield sym, ("z", p, q2)
         elif phase == "z":
             _, p, q = key
             for sym in alphabet:
                 b_moves = b.successors(q, sym)
                 for q2 in b_moves:
-                    builder.add(sid, sym, ("z", p, q2))
+                    yield sym, ("z", p, q2)
                 for p2 in a.successors(p, sym):
                     for q2 in b_moves:
-                        builder.add(sid, sym, ("v", p2, q2))
+                        yield sym, ("v", p2, q2)
         elif phase == "v":
             _, p, q = key
-            if p in a.finals and q in b.finals:
-                builder.finals.add(sid)
             for sym in alphabet:
                 a_moves = a.successors(p, sym)
                 b_moves = b.successors(q, sym)
                 for p2 in a_moves:
                     for q2 in b_moves:
-                        builder.add(sid, sym, ("v", p2, q2))
+                        yield sym, ("v", p2, q2)
                 if q in b.finals:
                     for p2 in a_moves:
-                        builder.add(sid, sym, ("post", p2))
+                        yield sym, ("post", p2)
         else:  # post
             _, p = key
-            if p in a.finals:
-                builder.finals.add(sid)
             for sym in alphabet:
                 for p2 in a.successors(p, sym):
-                    builder.add(sid, sym, ("post", p2))
-    return builder.build()
+                    yield sym, ("post", p2)
+
+    def is_final(key) -> bool:
+        if key[0] == "v":
+            return key[1] in a.finals and key[2] in b.finals
+        return key[0] == "post" and key[1] in a.finals
+
+    count, finals, trans = _explore(("pre", a.initial), expand, is_final)
+    return Nfa(alphabet, count, 0, finals, trans)
 
 
 def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
@@ -118,44 +96,38 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     single-letter joint steps, host alone again.
     """
     alphabet = _check_operands(a, b)
-    builder = _Builder(alphabet, ("pre", a.initial))
-    while builder.queue:
-        key = builder.queue.pop()
-        sid = builder.ids[key]
+
+    def expand(key):
         phase = key[0]
         if phase == "pre":
             _, p = key
             for sym in alphabet:
                 a_moves = a.successors(p, sym)
                 for p2 in a_moves:
-                    builder.add(sid, sym, ("pre", p2))
+                    yield sym, ("pre", p2)
                 for p2 in a_moves:
                     for q2 in b.successors(b.initial, sym):
-                        if require_insertion:
-                            builder.add(sid, sym, ("mid", p2, q2, False))
-                        else:
-                            builder.add(sid, sym, ("mid", p2, q2))
+                        # last field: may the inserted middle end here
+                        yield sym, ("mid", p2, q2, not require_insertion)
         elif phase == "mid":
-            p, q = key[1], key[2]
-            inserted = key[3] if require_insertion else True
+            _, p, q, inserted = key
             for sym in alphabet:
                 b_moves = b.successors(q, sym)
                 for q2 in b_moves:
-                    if require_insertion:
-                        builder.add(sid, sym, ("mid", p, q2, True))
-                    else:
-                        builder.add(sid, sym, ("mid", p, q2))
+                    yield sym, ("mid", p, q2, True)
                 if inserted and any(q2 in b.finals for q2 in b_moves):
                     for p2 in a.successors(p, sym):
-                        builder.add(sid, sym, ("post", p2))
+                        yield sym, ("post", p2)
         else:  # post
             _, p = key
-            if p in a.finals:
-                builder.finals.add(sid)
             for sym in alphabet:
                 for p2 in a.successors(p, sym):
-                    builder.add(sid, sym, ("post", p2))
-    return builder.build()
+                    yield sym, ("post", p2)
+
+    count, finals, trans = _explore(
+        ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
+    )
+    return Nfa(alphabet, count, 0, finals, trans)
 
 
 def insertion_nfa(variant: SdiVariant, a: Nfa, b: Nfa) -> Nfa:
@@ -205,23 +177,20 @@ def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
                 bad.add(tail[len(y3) :])
         forbidden[(i, j)] = frozenset(bad)
 
-    builder = _Builder(a.alphabet, ("pre", a.initial, ""))
-    while builder.queue:
-        key = builder.queue.pop()
-        sid = builder.ids[key]
+    def expand(key):
         phase = key[0]
         if phase == "pre":
             _, p, window = key
             for sym in a.alphabet:
                 a_moves = a.successors(p, sym)
                 for p2 in a_moves:
-                    builder.add(sid, sym, ("pre", p2, _push(window, sym, window_cap)))
+                    yield sym, ("pre", p2, _push(window, sym, window_cap))
                 if sym == y[0]:
                     for i, j in decs:
                         if blocked_left(window, i, j):
                             continue
                         for p2 in a_moves:
-                            builder.add(sid, sym, ("y", (i, j), 1, p2))
+                            yield sym, ("y", (i, j), 1, p2)
         elif phase == "y":
             _, dec, pos, p = key
             i, j = dec
@@ -231,25 +200,27 @@ def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
             for p2 in targets:
                 if pos + 1 == k:
                     start_track = "" if forbidden[dec] else None
-                    builder.add(sid, sym, ("post", dec, p2, start_track))
+                    yield sym, ("post", dec, p2, start_track)
                 else:
-                    builder.add(sid, sym, ("y", dec, pos + 1, p2))
+                    yield sym, ("y", dec, pos + 1, p2)
         else:  # post
             _, dec, p, track = key
-            if p in a.finals:
-                builder.finals.add(sid)
             i, j = dec
             for sym in a.alphabet:
                 for p2 in a.successors(p, sym):
                     if track is None:
-                        builder.add(sid, sym, ("post", dec, p2, None))
+                        yield sym, ("post", dec, p2, None)
                         continue
                     extended = track + sym
                     if extended in forbidden[dec]:
                         continue
                     nxt = None if len(extended) >= j - i else extended
-                    builder.add(sid, sym, ("post", dec, p2, nxt))
-    return trim(builder.build())
+                    yield sym, ("post", dec, p2, nxt)
+
+    count, finals, trans = _explore(
+        ("pre", a.initial, ""), expand, lambda key: key[0] == "post" and key[2] in a.finals
+    )
+    return trim(Nfa(a.alphabet, count, 0, finals, trans))
 
 
 def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
@@ -268,21 +239,19 @@ def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
         for j in range(i, k)
         if unbordered(y[:i]) and unbordered(y[j:])
     ]
-    builder = _Builder(a.alphabet, ("pre", a.initial))
-    while builder.queue:
-        key = builder.queue.pop()
-        sid = builder.ids[key]
+
+    def expand(key):
         phase = key[0]
         if phase == "pre":
             _, p = key
             for sym in a.alphabet:
                 a_moves = a.successors(p, sym)
                 for p2 in a_moves:
-                    builder.add(sid, sym, ("pre", p2))
+                    yield sym, ("pre", p2)
                 if sym == y[0]:
                     for dec in decs:
                         for p2 in a_moves:
-                            builder.add(sid, sym, ("y", dec, 1, p2))
+                            yield sym, ("y", dec, 1, p2)
         elif phase == "y":
             _, dec, pos, p = key
             i, j = dec
@@ -291,17 +260,19 @@ def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
             targets = (p,) if frozen else a.successors(p, sym)
             for p2 in targets:
                 if pos + 1 == k:
-                    builder.add(sid, sym, ("post", p2))
+                    yield sym, ("post", p2)
                 else:
-                    builder.add(sid, sym, ("y", dec, pos + 1, p2))
+                    yield sym, ("y", dec, pos + 1, p2)
         else:  # post
             _, p = key
-            if p in a.finals:
-                builder.finals.add(sid)
             for sym in a.alphabet:
                 for p2 in a.successors(p, sym):
-                    builder.add(sid, sym, ("post", p2))
-    return trim(builder.build())
+                    yield sym, ("post", p2)
+
+    count, finals, trans = _explore(
+        ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
+    )
+    return trim(Nfa(a.alphabet, count, 0, finals, trans))
 
 
 def regular_max_sdi_finite(a: Nfa, words: set[Word] | list[Word], variant: SdiVariant) -> Nfa:

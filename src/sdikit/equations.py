@@ -53,7 +53,6 @@ class EquationSpec:
 class EquationSolution:
     solvable: bool
     candidate: Dfa
-    verified: bool
 
 
 class EquationResourceError(ResourceLimitError):
@@ -102,11 +101,11 @@ def solve(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> EquationSolution:
     """Decide the equation and produce the maximal candidate.
 
     The candidate is a superset of all solutions; the equation is solvable
-    iff the candidate verifies, so `solvable` always matches `verified`.
+    iff the candidate verifies.
     """
     cand = candidate(spec, cap)
     try:
         ok = verify_solution(cand, spec, cap)
     except ResourceLimitError as exc:
         raise EquationResourceError(f"verification hit the state cap: {exc}", cand) from exc
-    return EquationSolution(solvable=ok, candidate=cand, verified=ok)
+    return EquationSolution(solvable=ok, candidate=cand)

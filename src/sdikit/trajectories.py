@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import Alphabet, InputError, Nfa, trim
+from .automata import Alphabet, InputError, Nfa, _explore, _reach, trim
 
 SHUFFLE_ALPHABET = Alphabet.from_string("01s")
 DELETION_ALPHABET = Alphabet.from_string("ids")
@@ -136,40 +136,29 @@ def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     if b.alphabet != alphabet:
         raise InputError("operand alphabets differ")
     traj = t.automaton
-    start = (a.initial, b.initial, traj.initial)
-    ids: dict[tuple[int, int, int], int] = {start: 0}
-    queue = [start]
-    trans: set[tuple[int, str, int]] = set()
-    finals: set[int] = set()
 
-    def state_id(key: tuple[int, int, int]) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
-            queue.append(key)
-        return ids[key]
-
-    while queue:
-        key = queue.pop()
+    def expand(key: tuple[int, int, int]):
         p, q, r = key
-        sid = ids[key]
-        if p in a.finals and q in b.finals and r in traj.finals:
-            finals.add(sid)
         zero_steps = traj.successors(r, "0")
         one_steps = traj.successors(r, "1")
         sync_steps = traj.successors(r, "s")
         for sym in alphabet:
             for p2 in a.successors(p, sym):
                 for r2 in zero_steps:
-                    trans.add((sid, sym, state_id((p2, q, r2))))
+                    yield sym, (p2, q, r2)
             for q2 in b.successors(q, sym):
                 for r2 in one_steps:
-                    trans.add((sid, sym, state_id((p, q2, r2))))
+                    yield sym, (p, q2, r2)
             if sync_steps:
                 for p2 in a.successors(p, sym):
                     for q2 in b.successors(q, sym):
                         for r2 in sync_steps:
-                            trans.add((sid, sym, state_id((p2, q2, r2))))
-    return trim(Nfa(alphabet, len(ids), 0, frozenset(finals), frozenset(trans)))
+                            yield sym, (p2, q2, r2)
+
+    count, finals, trans = _explore(
+        (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
+    )
+    return trim(Nfa(alphabet, count, 0, finals, trans))
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -184,43 +173,30 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     if b.alphabet != alphabet:
         raise InputError("operand alphabets differ")
     traj = t.automaton
-    start = (a.initial, b.initial, traj.initial)
-    ids: dict[tuple[int, int, int], int] = {start: 0}
-    queue = [start]
-    sym_trans: set[tuple[int, str, int]] = set()
-    eps_trans: set[tuple[int, int]] = set()
-    finals: set[int] = set()
 
-    def state_id(key: tuple[int, int, int]) -> int:
-        if key not in ids:
-            ids[key] = len(ids)
-            queue.append(key)
-        return ids[key]
-
-    while queue:
-        key = queue.pop()
+    def expand(key: tuple[int, int, int]):
         p, q, r = key
-        sid = ids[key]
-        if p in a.finals and q in b.finals and r in traj.finals:
-            finals.add(sid)
         keep_steps = traj.successors(r, "i")
         del_steps = traj.successors(r, "d")
         sync_steps = traj.successors(r, "s")
         for sym in alphabet:
             for p2 in a.successors(p, sym):
                 for r2 in keep_steps:
-                    sym_trans.add((sid, sym, state_id((p2, q, r2))))
+                    yield sym, (p2, q, r2)
                 if sync_steps:
                     for q2 in b.successors(q, sym):
                         for r2 in sync_steps:
-                            sym_trans.add((sid, sym, state_id((p2, q2, r2))))
+                            yield sym, (p2, q2, r2)
                 if del_steps:
                     for q2 in b.successors(q, sym):
                         for r2 in del_steps:
-                            eps_trans.add((sid, state_id((p2, q2, r2))))
-    n = len(ids)
-    finals2, trans2 = _eliminate_epsilon(n, finals, sym_trans, eps_trans)
-    return trim(Nfa(alphabet, n, 0, frozenset(finals2), frozenset(trans2)))
+                            yield None, (p2, q2, r2)
+
+    count, finals, trans = _explore(
+        (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
+    )
+    finals2, trans2 = _eliminate_epsilon(count, finals, trans)
+    return trim(Nfa(alphabet, count, 0, finals2, trans2))
 
 
 def reversed_deletion(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -228,36 +204,30 @@ def reversed_deletion(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     return deletion_nfa(b, a, t)
 
 
+def _all_final(a: Nfa, b: Nfa, traj: Nfa):
+    """Finality of a product key (state of a, state of b, state of traj)."""
+    return lambda key: key[0] in a.finals and key[1] in b.finals and key[2] in traj.finals
+
+
 def _eliminate_epsilon(
     n: int,
     finals: set[int],
-    sym_trans: set[tuple[int, str, int]],
-    eps_trans: set[tuple[int, int]],
+    trans: set[tuple[int, str | None, int]],
 ) -> tuple[set[int], set[tuple[int, str, int]]]:
+    """Fold the epsilon moves (symbol None) of `trans` into the symbol
+    moves and finals of every state that reaches them."""
     eps_adj: dict[int, list[int]] = {}
-    for src, dst in eps_trans:
-        eps_adj.setdefault(src, []).append(dst)
-
-    closures: dict[int, set[int]] = {}
-    for state in range(n):
-        closure = {state}
-        stack = [state]
-        while stack:
-            cur = stack.pop()
-            for nxt in eps_adj.get(cur, ()):
-                if nxt not in closure:
-                    closure.add(nxt)
-                    stack.append(nxt)
-        closures[state] = closure
-
     out_by_state: dict[int, list[tuple[str, int]]] = {}
-    for src, sym, dst in sym_trans:
-        out_by_state.setdefault(src, []).append((sym, dst))
+    for src, sym, dst in trans:
+        if sym is None:
+            eps_adj.setdefault(src, []).append(dst)
+        else:
+            out_by_state.setdefault(src, []).append((sym, dst))
 
     new_trans: set[tuple[int, str, int]] = set()
     new_finals: set[int] = set()
     for state in range(n):
-        closure = closures[state]
+        closure = _reach([state], eps_adj)
         if closure & finals:
             new_finals.add(state)
         for member in closure:

@@ -106,6 +106,29 @@ def test_decide_counterexample(files, capsys):
     assert "counterexample:" in out
 
 
+DECIDE_OPERAND_COUNTS = {
+    "sdi-free": 2, "sdi-independent": 2, "asdi-free": 2, "asdi-independent": 2,
+    "maxsdi-free": 2, "minsdi-free": 2, "maxsdi-independent": 2, "minsdi-independent": 2,
+    "closed-sdi": 1, "closed-finite-max": 2, "closed-finite-min": 2, "two-var-solvable": 1,
+    "counterexample-sdi": 1, "counterexample-max": 1, "counterexample-min": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "predicate, count",
+    [
+        (predicate, count)
+        for predicate, needed in sorted(DECIDE_OPERAND_COUNTS.items())
+        for count in range(4)
+        if count != needed
+    ],
+)
+def test_decide_wrong_operand_count_is_usage_error(files, capsys, predicate, count):
+    operands = [files["lab.nfa"]] * count
+    assert main(["decide", predicate, *operands, "--max-len", "3"]) == 2
+    assert f"error: {predicate} needs " in capsys.readouterr().err
+
+
 def test_solve_round_trip(files, capsys):
     out = files["tmp"] + "/solution.nfa"
     rc = main(["solve", "--side", "left", "--variant", "sdi",

@@ -55,7 +55,7 @@ def test_round_trip_left_general():
     result = sdi_nfa_direct(s0, known)
     spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, result)
     solution = solve(spec)
-    assert solution.solvable and solution.verified
+    assert solution.solvable
     assert is_subset(s0, solution.candidate)
     assert equivalent(sdi_nfa_direct(solution.candidate, known), result)
 

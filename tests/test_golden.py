@@ -1,0 +1,132 @@
+"""Pinned serialized output of every reachable-state construction.
+
+`serialize_automaton` renumbers states breadth-first, but it visits the
+nondeterministic successors of a state in the order of their ids in the
+built automaton, so these bytes change whenever a construction numbers
+its states differently.  Each case builds one automaton from fixed,
+seeded inputs; its sha256 digest is pinned below.
+
+The digests were printed by `PYTHONPATH=src python tests/test_golden.py`
+at the commit before the shared exploration kernel, when every builder
+still ran its own worklist, and they are unchanged since.  Regenerate
+them the same way only for a deliberate change of numbering.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from sdikit import (
+    Alphabet,
+    Nfa,
+    SdiVariant,
+    asdi_nfa_direct,
+    candidate,
+    deletion_nfa,
+    determinize,
+    finite_into_regular,
+    max_sdi_single_nfa,
+    min_sdi_single_nfa,
+    named_trajectory,
+    plain_shuffle_trajectories,
+    product_intersection,
+    regular_max_sdi_finite,
+    sdi_nfa_direct,
+    shuffle_nfa,
+    union,
+    union_all,
+)
+from sdikit.complexity import random_nfa
+from sdikit.equations import EquationSpec, UnknownSide
+from sdikit.textio import serialize_automaton
+
+AB = Alphabet.from_string("ab")
+
+
+def _rand(seed, n, density=0.3):
+    return random_nfa(random.Random(seed), n, AB, density=density)
+
+
+def _blowup(k):
+    """(a|b)*a(a|b)^k: k+2 states, 2^(k+1) reachable subsets."""
+    trans = {(0, "a", 0), (0, "b", 0), (0, "a", 1)}
+    trans |= {(q, sym, q + 1) for q in range(1, k + 1) for sym in "ab"}
+    return Nfa(AB, k + 2, 0, frozenset({k + 1}), frozenset(trans))
+
+
+def _traj(name):
+    return named_trajectory(name).language
+
+
+CASES = {
+    "determinize_blowup6": lambda: determinize(_blowup(6)),
+    "determinize_random": lambda: determinize(_rand(1, 9)),
+    "product_intersection": lambda: product_intersection(_rand(2, 7), _rand(3, 6)),
+    "union": lambda: union(_rand(4, 4), _rand(5, 5)),
+    "union_all": lambda: union_all([_rand(6, 3), _rand(7, 4), _rand(8, 3)], AB),
+    "shuffle_plain": lambda: shuffle_nfa(_rand(9, 4), _rand(10, 4), plain_shuffle_trajectories()),
+    "shuffle_T_sdi": lambda: shuffle_nfa(_rand(11, 4), _rand(12, 3), _traj("T_sdi")),
+    "shuffle_T_asdi": lambda: shuffle_nfa(_rand(13, 4), _rand(14, 3), _traj("T_asdi")),
+    "deletion_T1": lambda: deletion_nfa(_rand(16, 5, 0.4), _rand(17, 3, 0.4), _traj("T1")),
+    "deletion_T1a": lambda: deletion_nfa(_rand(17, 5, 0.4), _rand(18, 3, 0.4), _traj("T1a")),
+    "deletion_T2": lambda: deletion_nfa(_rand(19, 5), _rand(20, 3), _traj("T2")),
+    "deletion_T2a": lambda: deletion_nfa(_rand(21, 5), _rand(22, 3), _traj("T2a")),
+    "sdi_nfa_direct": lambda: sdi_nfa_direct(_rand(23, 5), _rand(24, 4)),
+    "sdi_nfa_direct_require": lambda: sdi_nfa_direct(_rand(23, 5), _rand(24, 4), True),
+    "asdi_nfa_direct": lambda: asdi_nfa_direct(_rand(25, 5), _rand(26, 4)),
+    "asdi_nfa_direct_require": lambda: asdi_nfa_direct(_rand(25, 5), _rand(26, 4), True),
+    "max_sdi_single": lambda: max_sdi_single_nfa(_rand(27, 4, 0.35), "abaab"),
+    "min_sdi_single": lambda: min_sdi_single_nfa(_rand(28, 4, 0.35), "abaab"),
+    "regular_max_sdi_finite": lambda: regular_max_sdi_finite(
+        _rand(29, 3, 0.5), ["ab", "aab", "bab"], SdiVariant.MAXIMAL
+    ),
+    "finite_into_regular_max": lambda: finite_into_regular(
+        SdiVariant.MAXIMAL, ["abab", "aab"], _rand(30, 4)
+    ),
+    "finite_into_regular_min": lambda: finite_into_regular(
+        SdiVariant.MINIMAL, ["abab", "aab"], _rand(31, 4)
+    ),
+    "equation_candidate": lambda: candidate(
+        EquationSpec(UnknownSide.LEFT, SdiVariant.GENERAL, _rand(32, 2), _blowup(3))
+    ),
+}
+
+GOLDEN = {
+    "determinize_blowup6": "a127540f481b64beaadfc0d1ae4bf5401fcd3267feee5c8127238a807bb77339",
+    "determinize_random": "56e226d1046b1ef4e3a465d3c7215275786a14c16232bffb4dac2945178922f1",
+    "product_intersection": "9a0754cd66deff140ef0752cb23b633d05d478589e782f724793de1e8f7e91d6",
+    "union": "497a6aca07c17cf93aad7a2ebab8d48e571f76ab29fec9f0cf1e785b2c4a1c4b",
+    "union_all": "ab04d76c762df86d55ed96817b939817cfe2dd418355b7125d6dfc1445e828e4",
+    "shuffle_plain": "792243c255c46882e802824ca6099d63c8fc36d27b4edb68b4ac82e6092a905b",
+    "shuffle_T_sdi": "8fd7951677f36c8b31306d43567b60402ad2cc6c51be97b2f820a593506f7ee4",
+    "shuffle_T_asdi": "077a6bc6790e0c073453367cc366cefc390271dfc43d32fd9cecde81d6bcb139",
+    "deletion_T1": "57222e07e8ac8175ac58e73f11a5a356e6e0c7ec9dc98ddc718c9884858f2b0a",
+    "deletion_T1a": "6b9915d4f29e976bf0931f20b0a7b87e11c210f7fbcb6a6d26ae8f3fdf929f9b",
+    "deletion_T2": "08b7abfa4c61fac1fcf623937bb0dc66a1a537ac67f5fa3c8e2118f898e5471c",
+    "deletion_T2a": "d5b0f8528e0bc95418722d20fe0ec02c4fa603c2a5b2fcc6f20cabfd6fa9fe22",
+    "sdi_nfa_direct": "0528ea6e92ecdc9a099305a0f3b76a4a6d0fce4e67737abf6bb5e9359a60b2f1",
+    "sdi_nfa_direct_require": "12d9752ef8a3c17dcead145d976446d69192a716eb4d3880069e2ca3e4a10266",
+    "asdi_nfa_direct": "aff165d553995d8db4ae5dc5b7a20b1ccfafdbb6003945dea11322c8937489d9",
+    "asdi_nfa_direct_require": "d3faa9b186898e3387a9975c9cf24ade4e9fcdbad5b4a6787747da571dd19de3",
+    "max_sdi_single": "c18eeb63d1c9a2852e26fdc93047c0150e19e6566e3a437c558907e1dbc391a9",
+    "min_sdi_single": "73e503a6f49aa1dd37320152541cd56c9ab022864aa5b189e61aa20f41a32dfe",
+    "regular_max_sdi_finite": "192da63dad1e0d9dacf2a7bada99b1ef2ff61e3250f02d326a1e709e6b032c4f",
+    "finite_into_regular_max": "0f21a1b908080a333afdb4d74ab30cf13516520271ec2fa1d1092c6205d136b1",
+    "finite_into_regular_min": "e0ad80686413e2a86042f34c863a29996dda2b25d979ca119428fc1429478bfd",
+    "equation_candidate": "0aa5e80c116f29923785979c39904d3b26a3a39b826fc63c07633b0c31bca9e7",
+}
+
+
+def _digest(a):
+    return hashlib.sha256(serialize_automaton(a).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_serialized_construction_is_pinned(name):
+    assert _digest(CASES[name]()) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for case, build in CASES.items():
+        print(f'    "{case}": "{_digest(build())}",')

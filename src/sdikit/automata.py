@@ -6,13 +6,19 @@ every operation is a pure function of its inputs.  Every reachable-state
 construction numbers its states through `_explore`: the start state is 0
 and each new state takes the next id when it is first reached from a
 LIFO worklist; each is capped at `DEFAULT_STATE_CAP` states by default.
+Every subset walk (membership, subset construction, enumeration, the
+shortest word, the inclusion/equivalence search and the canonical
+renumbering) steps sets of states held as int bitsets over one
+per-symbol successor table cached on the automaton (`Nfa._masks`);
+enumeration steps each distinct subset once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Word = str
@@ -111,14 +117,16 @@ class Nfa:
             table.setdefault((src, sym), []).append(dst)
         return {key: tuple(sorted(dsts)) for key, dsts in table.items()}
 
+    @cached_property
+    def _masks(self) -> dict[str, list[int]]:
+        """For each symbol, in alphabet order, the successor bitset of each state."""
+        table = {sym: [0] * self.state_count for sym in self.alphabet}
+        for src, sym, dst in self.transitions:
+            table[sym][src] |= 1 << dst
+        return table
+
     def successors(self, state: int, sym: str) -> tuple[int, ...]:
         return self._delta.get((state, sym), ())
-
-    def step(self, states: Iterable[int], sym: str) -> frozenset[int]:
-        out: set[int] = set()
-        for q in states:
-            out.update(self._delta.get((q, sym), ()))
-        return frozenset(out)
 
     def accepts(self, word: Word) -> bool:
         return membership(self, word)
@@ -255,15 +263,43 @@ def _reach(seeds: Iterable[int], adjacency: Mapping[int, Iterable[int]]) -> set[
     return seen
 
 
+def _bits(subset: int) -> Iterator[int]:
+    """The members of a bitset, in ascending order."""
+    while subset:
+        low = subset & -subset
+        yield low.bit_length() - 1
+        subset ^= low
+
+
+def _mask(states: Iterable[int]) -> int:
+    """The bitset of a set of states."""
+    return sum(1 << q for q in states)
+
+
+def _step_all(subset: int, masks: Mapping[str, list[int]]) -> list[int]:
+    """The successor bitset of `subset` on every symbol, in the order of
+    `masks` (an automaton's `_masks`)."""
+    states = list(_bits(subset))
+    return [reduce(or_, map(row.__getitem__, states), 0) for row in masks.values()]
+
+
 def membership(a: Nfa, word: Word) -> bool:
     """True iff some run of `a` on `word` ends in a final state."""
     a.alphabet.check_word(word)
-    states: frozenset[int] = frozenset({a.initial})
+    masks = a._masks
+    states = 1 << a.initial
     for sym in word:
-        states = a.step(states, sym)
+        row = masks[sym]
+        if states & (states - 1):
+            nxt = 0
+            for q in _bits(states):
+                nxt |= row[q]
+            states = nxt
+        else:  # a single state, as in every run of a DFA
+            states = row[states.bit_length() - 1]
         if not states:
             return False
-    return bool(states & a.finals)
+    return any(q in a.finals for q in _bits(states))
 
 
 def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -271,17 +307,15 @@ def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Raises ResourceLimitError when more than `cap` subset states appear.
     """
+    symbols, masks, finals = a.alphabet.symbols, a._masks, _mask(a.finals)
 
-    def expand(subset: frozenset[int]) -> Iterator[tuple[str, frozenset[int]]]:
-        for sym in a.alphabet:
-            nxt = a.step(subset, sym)
+    def expand(subset: int) -> Iterator[tuple[str, int]]:
+        for sym, nxt in zip(symbols, _step_all(subset, masks)):
             if nxt:
                 yield sym, nxt
 
-    count, finals, trans = _explore(
-        frozenset({a.initial}), expand, lambda subset: not a.finals.isdisjoint(subset), cap
-    )
-    return Dfa(a.alphabet, count, 0, finals, trans)
+    count, final_ids, trans = _explore(1 << a.initial, expand, lambda subset: bool(subset & finals), cap)
+    return Dfa(a.alphabet, count, 0, final_ids, trans)
 
 
 def complete(d: Dfa) -> Dfa:
@@ -384,35 +418,22 @@ def trim(a: Nfa) -> Nfa:
 
 
 def canonicalize(a: Nfa) -> Nfa:
-    """Renumber reachable states in BFS order from the initial state."""
+    """Renumber reachable states in BFS order from the initial state;
+    the successors of a state are visited by symbol, then by state id."""
     order = {a.initial: 0}
     queue = [a.initial]
-    head = 0
-    while head < len(queue):
-        q = queue[head]
-        head += 1
-        for sym in a.alphabet:
-            for dst in a.successors(q, sym):
+    trans: list[tuple[int, str, int]] = []
+    for q in queue:  # grows while it is walked: a FIFO queue
+        src = order[q]
+        for sym, row in a._masks.items():
+            for dst in _bits(row[q]):
                 if dst not in order:
                     order[dst] = len(order)
                     queue.append(dst)
-    trans = frozenset(
-        (order[src], sym, order[dst])
-        for src, sym, dst in a.transitions
-        if src in order and dst in order
-    )
+                trans.append((src, sym, order[dst]))
     finals = frozenset(order[q] for q in a.finals if q in order)
-    out = Nfa(a.alphabet, len(order), 0, finals, trans)
+    out = Nfa(a.alphabet, len(order), 0, finals, frozenset(trans))
     return as_dfa(out) if isinstance(a, Dfa) else out
-
-
-def _successor_masks(a: Nfa) -> list[list[int]]:
-    """Per symbol in alphabet order, the successor bitset of each state."""
-    column = {sym: i for i, sym in enumerate(a.alphabet)}
-    table = [[0] * a.state_count for _ in a.alphabet]
-    for src, sym, dst in a.transitions:
-        table[column[sym]][src] |= 1 << dst
-    return table
 
 
 def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
@@ -429,24 +450,15 @@ def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
     Raises ResourceLimitError when more than `cap` pairs are explored.
     """
     symbols = _require_same_alphabet(a.alphabet, b).symbols
-    masks_a, masks_b = _successor_masks(a), _successor_masks(b)
-    finals_a = sum(1 << q for q in a.finals)
-    finals_b = sum(1 << q for q in b.finals)
+    masks_a, masks_b = a._masks, b._masks
+    finals_a, finals_b = _mask(a.finals), _mask(b.finals)
     memo_a: dict[int, list[int]] = {}
     memo_b: dict[int, list[int]] = {}
 
-    def successors(subset: int, masks: list[list[int]], memo: dict[int, list[int]]) -> list[int]:
+    def successors(subset: int, masks: Mapping[str, list[int]], memo: dict[int, list[int]]) -> list[int]:
         out = memo.get(subset)  # many pairs share a subset: step each one once
         if out is None:
-            out = [0] * len(masks)
-            rest = subset
-            while rest:
-                low = rest & -rest
-                q = low.bit_length() - 1
-                for i, row in enumerate(masks):
-                    out[i] |= row[q]
-                rest ^= low
-            memo[subset] = out
+            out = memo[subset] = _step_all(subset, masks)
         return out
 
     def breaks(pair: tuple[int, int]) -> bool:
@@ -475,8 +487,11 @@ def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
                 found = nxt
                 break
             queue.append(nxt)
-    if found is None:
-        return None
+    return None if found is None else _trace_back(parent, found)
+
+
+def _trace_back(parent: Mapping[Hashable, tuple[Hashable, str] | None], found: Hashable) -> Word:
+    """The word spelled by the breadth-first parent links from the start to `found`."""
     word: list[str] = []
     link = parent[found]
     while link is not None:
@@ -508,45 +523,62 @@ def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
 
 
 def enumerate_language(a: Nfa, max_len: int) -> list[Word]:
-    """All accepted words of length <= max_len, in length-then-lex order."""
+    """All accepted words of length <= max_len, in length-then-lex order.
+
+    A depth-first walk over prefixes that steps int bitsets of states,
+    keeping only states that can reach a final state (the walk reaches
+    no other kind).  Each distinct subset is stepped once and its steps
+    are remembered, a lazily built DFA, so the work beyond listing the
+    words grows with the subsets met, not with the prefixes.
+    """
     if max_len < 0:
         return []
-    t = trim(a)
-    if not t.finals:
+    useful = _mask(_coreachable(a))
+    start = (1 << a.initial) & useful
+    if not start:
         return []
+    # pushed in reverse alphabet order, so the stack pops them in order
+    masks, finals = dict(reversed(a._masks.items())), _mask(a.finals)
+    symbols = tuple(masks)
+    memo: dict[int, tuple[int, ...]] = {}
     out: list[Word] = []
-    stack: list[tuple[frozenset[int], str]] = [(frozenset({t.initial}), "")]
+    stack: list[tuple[int, str]] = [(start, "")]
     while stack:
-        states, prefix = stack.pop()
-        if states & t.finals:
+        subset, prefix = stack.pop()
+        if subset & finals:
             out.append(prefix)
-        if len(prefix) == max_len:
-            continue
-        for sym in t.alphabet:
-            nxt = t.step(states, sym)
-            if nxt:
-                stack.append((nxt, prefix + sym))
-    out.sort(key=lambda w: (len(w), w))
+        if len(prefix) < max_len:
+            steps = memo.get(subset)
+            if steps is None:
+                steps = memo[subset] = tuple(nxt & useful for nxt in _step_all(subset, masks))
+            stack.extend((nxt, prefix + sym) for sym, nxt in zip(symbols, steps) if nxt)
+    out.sort(key=len)  # stable: the walk met each length's words in lex order
     return out
 
 
 def shortest_word(a: Nfa) -> Word | None:
-    """Length-lex least accepted word, or None for the empty language."""
-    frontier: list[tuple[frozenset[int], str]] = [(frozenset({a.initial}), "")]
-    seen: set[frozenset[int]] = {frozenset({a.initial})}
-    while frontier:
-        for states, word in frontier:
-            if states & a.finals:
-                return word
-        nxt: list[tuple[frozenset[int], str]] = []
-        for states, word in frontier:
-            for sym in a.alphabet:
-                stepped = a.step(states, sym)
-                if stepped and stepped not in seen:
-                    seen.add(stepped)
-                    nxt.append((stepped, word + sym))
-        frontier = sorted(nxt, key=lambda item: item[1])
-    return None
+    """Length-lex least accepted word, or None for the empty language.
+
+    A FIFO breadth-first search over the int bitsets of states that one
+    word reaches, symbols in alphabet order, so subsets are met in the
+    length-lex order of the least words reaching them; the first subset
+    with a final state gives the answer.
+    """
+    symbols, masks, finals = a.alphabet.symbols, a._masks, _mask(a.finals)
+    start = 1 << a.initial
+    parent: dict[int, tuple[int, str] | None] = {start: None}
+    found = start if start & finals else None
+    queue = deque([start])
+    while queue and found is None:
+        subset = queue.popleft()
+        for sym, nxt in zip(symbols, _step_all(subset, masks)):
+            if nxt and nxt not in parent:
+                parent[nxt] = (subset, sym)
+                if nxt & finals:
+                    found = nxt
+                    break
+                queue.append(nxt)
+    return None if found is None else _trace_back(parent, found)
 
 
 def is_finite_language(a: Nfa) -> bool:

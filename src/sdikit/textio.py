@@ -90,17 +90,18 @@ def parse_dfa(text: str) -> Dfa:
 
 
 def serialize_automaton(a: Nfa) -> str:
-    """Canonical text: BFS state order, sorted transitions. Deterministic."""
+    """Canonical text: BFS state order, transitions sorted by source,
+    symbol (in alphabet order) and target. Deterministic."""
     c = canonicalize(a)
-    sym_index = {sym: i for i, sym in enumerate(c.alphabet)}
     lines = [
         "alphabet: " + " ".join(c.alphabet),
         f"states: {c.state_count}",
         f"initial: {c.initial}",
         "final: " + " ".join(str(q) for q in sorted(c.finals)),
     ]
-    for src, sym, dst in sorted(c.transitions, key=lambda t: (t[0], sym_index[t[1]], t[2])):
-        lines.append(f"{src} {sym} -> {dst}")
+    # alphabet order is string order, so plain tuple order is
+    # (source, symbol index, target)
+    lines.extend(f"{src} {sym} -> {dst}" for src, sym, dst in sorted(c.transitions))
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -35,6 +35,31 @@ def ba_blocks(k, tail, alphabet=MARKED):
     return Nfa(alphabet, state + 1, 0, frozenset({state}), frozenset(trans))
 
 
+def blowup(k):
+    """(a|b)*a(a|b)^k: k+2 states, 2^(k+1) reachable subsets."""
+    trans = {(0, "a", 0), (0, "b", 0), (0, "a", 1)}
+    trans |= {(q, sym, q + 1) for q in range(1, k + 1) for sym in "ab"}
+    return Nfa(AB, k + 2, 0, frozenset({k + 1}), frozenset(trans))
+
+
+def wide_random_nfa(rng):
+    """A sparse random NFA with 1-100 states (so state bitsets outgrow 64
+    bits), any initial state and possibly no final state; at this density
+    many have unreachable states and states that reach no final state."""
+    n = rng.randint(1, 100)
+    alphabet = ABC if rng.random() < 0.3 else AB
+    degree = rng.uniform(0.2, 1.6)  # expected successors per state and symbol
+    trans = {
+        (src, sym, rng.randrange(n))
+        for src in range(n)
+        for sym in alphabet
+        for _ in range(4)
+        if rng.random() < degree / 4
+    }
+    finals = rng.sample(range(n), rng.choice([0, 1, 2, n // 3]))
+    return Nfa(alphabet, n, rng.randrange(n), frozenset(finals), frozenset(trans))
+
+
 @pytest.fixture
 def ab_alphabet():
     return AB

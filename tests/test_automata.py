@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sdikit import automata
 from sdikit import (
     Alphabet,
     InputError,
@@ -25,7 +26,7 @@ from sdikit import (
 )
 from sdikit.complexity import random_nfa
 
-from conftest import AB, ABC, all_words, ba_blocks, lenlex
+from conftest import AB, ABC, all_words, ba_blocks, blowup, lenlex, wide_random_nfa
 
 
 def astar_b():
@@ -263,3 +264,134 @@ def test_trim_and_finiteness():
     assert t.state_count == 2 and equivalent(t, a)
     assert is_finite_language(Nfa.from_words({"ab", "ba"}, AB))
     assert not is_finite_language(Nfa.universal(AB))
+
+
+class _FrozensetSim:
+    """Reference subset simulation over frozensets, built straight from
+    the transition triples, independent of the program's bitset walks."""
+
+    def __init__(self, a):
+        self.a = a
+        self.succ = {}
+        for src, sym, dst in a.transitions:
+            self.succ.setdefault((src, sym), set()).add(dst)
+
+    def step(self, states, sym):
+        return frozenset(dst for q in states for dst in self.succ.get((q, sym), ()))
+
+    def accepts(self, word):
+        states = frozenset({self.a.initial})
+        for sym in word:
+            states = self.step(states, sym)
+        return bool(states & self.a.finals)
+
+    def words(self, max_len):
+        out, layer = [], [("", frozenset({self.a.initial}))]
+        for length in range(max_len + 1):
+            out += [w for w, states in layer if states & self.a.finals]
+            if length < max_len:  # lex order within a length: symbols go in order
+                layer = [(w + sym, self.step(states, sym)) for w, states in layer for sym in self.a.alphabet]
+        return out
+
+    def subsets(self, limit):
+        """The nonempty subsets reachable from the initial state, or None
+        when there are more than `limit`."""
+        start = frozenset({self.a.initial})
+        seen, todo = {start}, [start]
+        while todo:
+            states = todo.pop()
+            for sym in self.a.alphabet:
+                nxt = self.step(states, sym)
+                if nxt and nxt not in seen:
+                    if len(seen) == limit:
+                        return None
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    def shortest(self):
+        """Least accepted word: a search by length over subsets, each one
+        kept with the lex-least word of that length reaching it."""
+        frontier = {frozenset({self.a.initial}): ""}
+        seen = set(frontier)
+        while frontier:
+            accepted = [w for states, w in frontier.items() if states & self.a.finals]
+            if accepted:
+                return min(accepted)
+            nxt = {}
+            for states, w in frontier.items():
+                for sym in self.a.alphabet:
+                    stepped = self.step(states, sym)
+                    if stepped and stepped not in seen and (stepped not in nxt or w + sym < nxt[stepped]):
+                        nxt[stepped] = w + sym
+            seen.update(nxt)
+            frontier = nxt
+        return None
+
+
+def _closure(seeds, edges):
+    seen, todo = set(seeds), list(seeds)
+    while todo:
+        q = todo.pop()
+        for src, dst in edges:
+            if src == q and dst not in seen:
+                seen.add(dst)
+                todo.append(dst)
+    return seen
+
+
+def test_bitset_walks_match_frozenset_reference():
+    rng = random.Random(41)
+    shapes = dict.fromkeys(["initial != 0", "unreachable", "dead", "no finals", "over 64", "cap"], 0)
+    for _ in range(100):
+        a = wide_random_nfa(rng)
+        sim = _FrozensetSim(a)
+        reach = _closure({a.initial}, [(src, dst) for src, _, dst in a.transitions])
+        live = _closure(a.finals, [(dst, src) for src, _, dst in a.transitions])
+        shapes["initial != 0"] += a.initial != 0
+        shapes["unreachable"] += len(reach) < a.state_count
+        shapes["dead"] += bool(reach - live)
+        shapes["no finals"] += not a.finals
+
+        max_len = 5 if len(a.alphabet) == 3 else 7
+        expected = sim.words(max_len)
+        assert enumerate_language(a, max_len) == expected
+        probes = expected + ["".join(rng.choice(a.alphabet.symbols) for _ in range(rng.randint(0, 20))) for _ in range(30)]
+        assert [membership(a, w) for w in probes] == [sim.accepts(w) for w in probes]
+
+        # the searches below may visit every reachable subset
+        subsets = sim.subsets(400)
+        if subsets is None:
+            shapes["cap"] += 1
+            with pytest.raises(ResourceLimitError):
+                determinize(a, cap=400)
+            continue
+        shapes["over 64"] += a.state_count > 64
+        assert shortest_word(a) == sim.shortest()
+        d = determinize(a, cap=400)
+        assert d.state_count == len(subsets)
+        assert enumerate_language(d, max_len) == expected
+        assert [membership(d, w) for w in probes] == [sim.accepts(w) for w in probes]
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_enumeration_steps_each_subset_once(monkeypatch):
+    calls = []
+
+    def counting_step_all(subset, masks):
+        calls.append(subset)
+        return step_all(subset, masks)
+
+    step_all = automata._step_all
+    monkeypatch.setattr(automata, "_step_all", counting_step_all)
+    words = enumerate_language(blowup(10), 14)
+    assert len(words) == 2**10 * (1 + 2 + 4 + 8)  # lengths 11 to 14
+    # 2^11 subsets; stepping every prefix would take 2^14 - 1 calls
+    assert len(calls) == len(set(calls)) <= 2**11
+
+
+def test_determinize_cap_boundary():
+    k = 9
+    with pytest.raises(ResourceLimitError):
+        determinize(blowup(k), cap=2 ** (k + 1) - 1)
+    assert determinize(blowup(k), cap=2 ** (k + 1)).state_count == 2 ** (k + 1)

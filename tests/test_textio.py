@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sdikit import Nfa, equivalent
+from sdikit import Dfa, Nfa, canonicalize, equivalent
 from sdikit.complexity import random_nfa
 from sdikit.textio import (
     FormatError,
@@ -13,7 +13,7 @@ from sdikit.textio import (
     serialize_words,
 )
 
-from conftest import AB
+from conftest import AB, wide_random_nfa
 
 SAMPLE = """\
 # three-state sample
@@ -63,6 +63,43 @@ def test_serialization_is_deterministic():
         frozenset((perm[s], sym, perm[t]) for s, sym, t in a.transitions),
     )
     assert serialize_automaton(a) == serialize_automaton(b)
+
+
+def _sorted_triples_text(a):
+    """The serializer spelled out: canonical numbering, then every
+    transition sorted by (source, symbol index, target)."""
+    c = canonicalize(a)
+    index = {sym: i for i, sym in enumerate(c.alphabet)}
+    lines = [
+        "alphabet: " + " ".join(c.alphabet),
+        f"states: {c.state_count}",
+        f"initial: {c.initial}",
+        "final: " + " ".join(str(q) for q in sorted(c.finals)),
+    ]
+    for src, sym, dst in sorted(c.transitions, key=lambda t: (t[0], index[t[1]], t[2])):
+        lines.append(f"{src} {sym} -> {dst}")
+    return "\n".join(lines).rstrip() + "\n"
+
+
+def test_serializer_matches_sorted_triples():
+    rng = random.Random(43)
+    seen = dict.fromkeys(["initial != 0", "unreachable", "no finals", "dfa", "over 64"], 0)
+    for i in range(200):
+        a = wide_random_nfa(rng)
+        if i % 3 == 0:  # keep one successor per state and symbol
+            first = {}
+            for src, sym, dst in sorted(a.transitions):
+                first.setdefault((src, sym), dst)
+            trans = frozenset((src, sym, dst) for (src, sym), dst in first.items())
+            a = Dfa(a.alphabet, a.state_count, a.initial, a.finals, trans)
+        seen["initial != 0"] += a.initial != 0
+        seen["unreachable"] += canonicalize(a).state_count < a.state_count
+        seen["no finals"] += not a.finals
+        seen["dfa"] += isinstance(a, Dfa)
+        seen["over 64"] += a.state_count > 64
+        assert isinstance(canonicalize(a), Dfa) == isinstance(a, Dfa)
+        assert serialize_automaton(a) == _sorted_triples_text(a)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_empty_finals_round_trip():

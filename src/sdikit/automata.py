@@ -10,7 +10,9 @@ Every subset walk (membership, subset construction, enumeration, the
 shortest word, the inclusion/equivalence search and the canonical
 renumbering) steps sets of states held as int bitsets over one
 per-symbol successor table cached on the automaton (`Nfa._masks`);
-enumeration steps each distinct subset once.
+enumeration steps each distinct subset once.  Solution verification and
+the SDI closure check step the SDI construction on demand (`_OnDemand`)
+and build only the states their search reaches.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ class Nfa:
             table[sym][src] |= 1 << dst
         return table
 
+    @cached_property
+    def _final_bits(self) -> int:
+        return _mask(self.finals)
+
+    def _step(self, subset: int) -> list[int]:
+        """The successor bitset of `subset` on every symbol, in alphabet order."""
+        return _step_all(subset, self._masks)
+
     def successors(self, state: int, sym: str) -> tuple[int, ...]:
         return self._delta.get((state, sym), ())
 
@@ -228,8 +238,9 @@ def _explore(
     symbol is an internal epsilon move.  The worklist is LIFO and a key
     gets the next id the first time a move reaches it, `start` being 0;
     serialized output depends on this order.  Returns (state_count,
-    finals, transitions) over ids.  Raises ResourceLimitError when more
-    than `cap` keys are reached.
+    finals, transitions) over ids.  Every id is reachable from 0, so the
+    language is empty exactly when `finals` is.  Raises
+    ResourceLimitError when more than `cap` keys are reached.
     """
     ids = {start: 0}
     queue = [start]
@@ -249,6 +260,66 @@ def _explore(
                 queue.append(nxt)
             trans.add((sid, sym, nid))
     return len(ids), finals, trans
+
+
+class _OnDemand:
+    """The construction that `_explore(start, expand, is_final)` would
+    build, built only as far as a subset walk steps it.
+
+    A key gets the next id the first time a move reaches it, `start`
+    being 0, and its final bit is set then; its moves are computed the
+    first time a subset containing it is stepped, so ids follow the
+    walk, not `_explore`'s worklist.  Offers what `_subset_witness`
+    reads of an `Nfa`: `alphabet`, `initial`, `state_count` (the keys
+    numbered so far), `_step` and `_final_bits`.  Moves carry symbols,
+    never None.  Raises ResourceLimitError when more than `cap` keys are
+    numbered.
+    """
+
+    initial = 0
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        start: Hashable,
+        expand: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
+        is_final: Callable[[Hashable], bool],
+        cap: int = DEFAULT_STATE_CAP,
+    ):
+        self.alphabet = alphabet
+        self._expand, self._is_final, self._cap = expand, is_final, cap
+        self._ids: dict[Hashable, int] = {}
+        self._keys: list[Hashable] = []
+        self._masks: dict[str, list[int]] = {sym: [] for sym in alphabet}
+        self._final_bits = 0
+        self._expanded = 0
+        self._number(start)
+
+    @property
+    def state_count(self) -> int:
+        return len(self._keys)
+
+    def _number(self, key: Hashable) -> int:
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = len(self._keys)
+            if sid >= self._cap:
+                raise ResourceLimitError(f"exploration exceeded {self._cap} states", {"cap": self._cap})
+            self._ids[key] = sid
+            self._keys.append(key)
+            for row in self._masks.values():
+                row.append(0)
+            if self._is_final(key):
+                self._final_bits |= 1 << sid
+        return sid
+
+    def _step(self, subset: int) -> list[int]:
+        """The successor bitset of `subset` on every symbol, in alphabet order."""
+        for q in _bits(subset & ~self._expanded):
+            for sym, nxt in self._expand(self._keys[q]):
+                self._masks[sym][q] |= 1 << self._number(nxt)
+            self._expanded |= 1 << q
+        return _step_all(subset, self._masks)
 
 
 def _reach(seeds: Iterable[int], adjacency: Mapping[int, Iterable[int]]) -> set[int]:
@@ -307,7 +378,7 @@ def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
 
     Raises ResourceLimitError when more than `cap` subset states appear.
     """
-    symbols, masks, finals = a.alphabet.symbols, a._masks, _mask(a.finals)
+    symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
 
     def expand(subset: int) -> Iterator[tuple[str, int]]:
         for sym, nxt in zip(symbols, _step_all(subset, masks)):
@@ -436,7 +507,7 @@ def canonicalize(a: Nfa) -> Nfa:
     return as_dfa(out) if isinstance(a, Dfa) else out
 
 
-def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
+def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool, cap: int) -> Word | None:
     """Length-lex least word accepted by `a` but not by `b` (by exactly
     one of them when `equivalence`), or None when there is none.
 
@@ -447,22 +518,23 @@ def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
     them, and the first pair that breaks the relation gives the least
     witness.  For inclusion a pair with P empty can never break it and is
     not explored; for equivalence only the dead pair (0, 0) is skipped.
-    Raises ResourceLimitError when more than `cap` pairs are explored.
+    Either side may be an `_OnDemand` construction: the search reads only
+    `_step` and `_final_bits`, the latter afresh for every pair, since
+    stepping numbers new states.  Raises ResourceLimitError when more
+    than `cap` pairs are explored.
     """
     symbols = _require_same_alphabet(a.alphabet, b).symbols
-    masks_a, masks_b = a._masks, b._masks
-    finals_a, finals_b = _mask(a.finals), _mask(b.finals)
     memo_a: dict[int, list[int]] = {}
     memo_b: dict[int, list[int]] = {}
 
-    def successors(subset: int, masks: Mapping[str, list[int]], memo: dict[int, list[int]]) -> list[int]:
+    def successors(subset: int, side: Nfa | _OnDemand, memo: dict[int, list[int]]) -> list[int]:
         out = memo.get(subset)  # many pairs share a subset: step each one once
         if out is None:
-            out = memo[subset] = _step_all(subset, masks)
+            out = memo[subset] = side._step(subset)
         return out
 
     def breaks(pair: tuple[int, int]) -> bool:
-        in_a, in_b = bool(pair[0] & finals_a), bool(pair[1] & finals_b)
+        in_a, in_b = bool(pair[0] & a._final_bits), bool(pair[1] & b._final_bits)
         return in_a != in_b if equivalence else in_a and not in_b
 
     start = (1 << a.initial, 1 << b.initial)
@@ -471,8 +543,8 @@ def _subset_witness(a: Nfa, b: Nfa, equivalence: bool, cap: int) -> Word | None:
     queue = deque([start])
     while queue and found is None:
         pair = queue.popleft()
-        steps_a = successors(pair[0], masks_a, memo_a)
-        steps_b = successors(pair[1], masks_b, memo_b)
+        steps_a = successors(pair[0], a, memo_a)
+        steps_b = successors(pair[1], b, memo_b)
         for sym, p, s in zip(symbols, steps_a, steps_b):
             nxt = (p, s)
             if nxt in parent or not (p or (equivalence and s)):
@@ -538,7 +610,7 @@ def enumerate_language(a: Nfa, max_len: int) -> list[Word]:
     if not start:
         return []
     # pushed in reverse alphabet order, so the stack pops them in order
-    masks, finals = dict(reversed(a._masks.items())), _mask(a.finals)
+    masks, finals = dict(reversed(a._masks.items())), a._final_bits
     symbols = tuple(masks)
     memo: dict[int, tuple[int, ...]] = {}
     out: list[Word] = []
@@ -564,7 +636,7 @@ def shortest_word(a: Nfa) -> Word | None:
     length-lex order of the least words reaching them; the first subset
     with a final state gives the answer.
     """
-    symbols, masks, finals = a.alphabet.symbols, a._masks, _mask(a.finals)
+    symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
     start = 1 << a.initial
     parent: dict[int, tuple[int, str] | None] = {start: None}
     found = start if start & finals else None

@@ -28,6 +28,13 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     With require_insertion=True the inserted middle must be nonempty
     (the z phase cannot be skipped).
     """
+    count, finals, trans = _explore(*_sdi_parts(a, b, require_insertion))
+    return Nfa(a.alphabet, count, 0, finals, trans)
+
+
+def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
+    """The (start, expand, is_final) of `sdi_nfa_direct`, for `_explore`
+    or `_OnDemand`."""
     alphabet = _check_operands(a, b)
 
     def expand(key):
@@ -85,8 +92,7 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
             return key[1] in a.finals and key[2] in b.finals
         return key[0] == "post" and key[1] in a.finals
 
-    count, finals, trans = _explore(("pre", a.initial), expand, is_final)
-    return Nfa(alphabet, count, 0, finals, trans)
+    return ("pre", a.initial), expand, is_final
 
 
 def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
@@ -95,6 +101,13 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     Three phases: host alone, insert automaton alone between the two
     single-letter joint steps, host alone again.
     """
+    count, finals, trans = _explore(*_asdi_parts(a, b, require_insertion))
+    return Nfa(a.alphabet, count, 0, finals, trans)
+
+
+def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
+    """The (start, expand, is_final) of `asdi_nfa_direct`, for `_explore`
+    or `_OnDemand`."""
     alphabet = _check_operands(a, b)
 
     def expand(key):
@@ -124,10 +137,7 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
                 for p2 in a.successors(p, sym):
                     yield sym, ("post", p2)
 
-    count, finals, trans = _explore(
-        ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
-    )
-    return Nfa(alphabet, count, 0, finals, trans)
+    return ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
 
 
 def insertion_nfa(variant: SdiVariant, a: Nfa, b: Nfa) -> Nfa:

@@ -19,14 +19,14 @@ from .automata import (
     InputError,
     Nfa,
     Word,
+    _OnDemand,
     enumerate_language,
     inclusion_witness,
-    is_empty,
     membership,
     product_intersection,
     shortest_word,
 )
-from .constructions import asdi_nfa_direct, regular_max_sdi_finite, sdi_nfa_direct
+from .constructions import _sdi_parts, asdi_nfa_direct, regular_max_sdi_finite, sdi_nfa_direct
 from .oracle import SdiVariant, bounded_language_op
 
 
@@ -35,6 +35,9 @@ class DecisionReport:
     predicate: str
     answer: bool
     witness: Word | None = None
+    #: Sizes behind the verdict: `construction_states` and `product_states`
+    #: count the states of the automata built; `explored_states` counts the
+    #: states of an on-demand construction that the search numbered.
     resources: dict[str, int] = field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -47,7 +50,7 @@ class DecisionReport:
 
 
 def _emptiness_report(predicate: str, product: Nfa, extra: dict[str, int]) -> DecisionReport:
-    answer = is_empty(product)
+    answer = not product.finals  # every state of an `_explore` output is reachable
     witness = None if answer else shortest_word(product)
     return DecisionReport(predicate, answer, witness, extra)
 
@@ -112,10 +115,10 @@ def is_maxmin_sdi_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionRe
 def is_closed_under_sdi(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> DecisionReport:
     """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may
     explore more than `cap` subset pairs, reported as a resource error."""
-    grown = sdi_nfa_direct(a, a)
+    grown = _OnDemand(a.alphabet, *_sdi_parts(a, a))
     witness = inclusion_witness(grown, a, cap)
     return DecisionReport(
-        "closed-sdi", witness is None, witness, {"construction_states": grown.state_count}
+        "closed-sdi", witness is None, witness, {"explored_states": grown.state_count}
     )
 
 
@@ -141,7 +144,7 @@ def two_var_solvable(r: Nfa) -> DecisionReport:
     suffix, so no output is shorter than two symbols.
     """
     short = product_intersection(r, Nfa.at_most_one_symbol(r.alphabet))
-    answer = is_empty(short)
+    answer = not short.finals  # every state of an `_explore` output is reachable
     witness = None if answer else shortest_word(short)
     return DecisionReport("two-var-solvable", answer, witness, {})
 

@@ -20,12 +20,13 @@ from .automata import (
     InputError,
     Nfa,
     ResourceLimitError,
+    _OnDemand,
     complement,
     determinize,
     equivalent,
     trim,
 )
-from .constructions import asdi_nfa_direct, sdi_nfa_direct
+from .constructions import _asdi_parts, _sdi_parts
 from .oracle import SdiVariant
 from .trajectories import deletion_nfa, named_trajectory, reversed_deletion
 
@@ -85,11 +86,11 @@ def candidate(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     return complement(determinize(trim(deleted), cap))
 
 
-def _apply(solution: Nfa, spec: EquationSpec) -> Nfa:
-    build = sdi_nfa_direct if spec.variant is SdiVariant.GENERAL else asdi_nfa_direct
-    if spec.side is UnknownSide.LEFT:
-        return build(solution, spec.known)
-    return build(spec.known, solution)
+def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:
+    """The left-hand side with `solution` for X, built on demand."""
+    parts = _sdi_parts if spec.variant is SdiVariant.GENERAL else _asdi_parts
+    host, inserted = (solution, spec.known) if spec.side is UnknownSide.LEFT else (spec.known, solution)
+    return _OnDemand(spec.known.alphabet, *parts(host, inserted))
 
 
 def verify_solution(solution: Nfa, spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> bool:

@@ -56,7 +56,7 @@ def wide_random_nfa(rng):
         for _ in range(4)
         if rng.random() < degree / 4
     }
-    finals = rng.sample(range(n), rng.choice([0, 1, 2, n // 3]))
+    finals = rng.sample(range(n), min(n, rng.choice([0, 1, 2, n // 3])))
     return Nfa(alphabet, n, rng.randrange(n), frozenset(finals), frozenset(trans))
 
 

@@ -25,6 +25,9 @@ from sdikit import (
     union,
 )
 from sdikit.complexity import random_nfa
+from sdikit.constructions import _sdi_parts, asdi_nfa_direct, sdi_nfa_direct
+from sdikit.equations import EquationSpec, UnknownSide, _apply
+from sdikit.oracle import SdiVariant
 
 from conftest import AB, ABC, all_words, ba_blocks, blowup, lenlex, wide_random_nfa
 
@@ -395,3 +398,83 @@ def test_determinize_cap_boundary():
     with pytest.raises(ResourceLimitError):
         determinize(blowup(k), cap=2 ** (k + 1) - 1)
     assert determinize(blowup(k), cap=2 ** (k + 1)).state_count == 2 ** (k + 1)
+
+
+def _wide_nfa(rng, alphabet=None, most=100):
+    """`wide_random_nfa` drawn until it has `alphabet` and at most `most` states."""
+    while True:
+        a = wide_random_nfa(rng)
+        if alphabet in (None, a.alphabet) and a.state_count <= most:
+            return a
+
+
+def _witness_or_cap(search, a, b):
+    try:
+        return search(a, b, cap=300)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+def test_on_demand_searches_match_the_built_construction():
+    # verification and closure step the construction on demand; their
+    # witnesses (or their pair-cap errors) must be those of the built one
+    rng = random.Random(73)
+    shapes = dict.fromkeys(["initial != 0", "unreachable", "dead", "no finals", "over 64", "equal"], 0)
+    for _ in range(20):
+        sol = _wide_nfa(rng)
+        known, other = _wide_nfa(rng, sol.alphabet, 6), _wide_nfa(rng, sol.alphabet)
+        reach = _closure({sol.initial}, [(src, dst) for src, _, dst in sol.transitions])
+        live = _closure(sol.finals, [(dst, src) for src, _, dst in sol.transitions])
+        shapes["initial != 0"] += sol.initial != 0
+        shapes["unreachable"] += len(reach) < sol.state_count
+        shapes["dead"] += bool(reach - live)
+        shapes["no finals"] += not sol.finals
+        shapes["over 64"] += sol.state_count > 64
+        for side in UnknownSide:
+            for variant, build in ((SdiVariant.GENERAL, sdi_nfa_direct), (SdiVariant.ALPHABETIC, asdi_nfa_direct)):
+                built = build(sol, known) if side is UnknownSide.LEFT else build(known, sol)
+                for result in (other, built):
+                    spec = EquationSpec(side, variant, known, result)
+                    expected = _witness_or_cap(equivalence_witness, built, result)
+                    assert _witness_or_cap(equivalence_witness, _apply(sol, spec), result) == expected
+                    shapes["equal"] += expected is None
+        grown = automata._OnDemand(sol.alphabet, *_sdi_parts(sol, sol))
+        expected = _witness_or_cap(inclusion_witness, sdi_nfa_direct(sol, sol), sol)
+        assert _witness_or_cap(inclusion_witness, grown, sol) == expected
+    assert min(shapes.values()) >= 3, shapes
+
+
+def test_on_demand_cap_boundary():
+    a = ba_blocks(1, "ab", AB)
+    total = sdi_nfa_direct(a, a).state_count
+
+    def number_all(cap):
+        grown = automata._OnDemand(a.alphabet, *_sdi_parts(a, a), cap=cap)
+        q = 0
+        while q < grown.state_count:  # step every numbered state in turn
+            grown._step(1 << q)
+            q += 1
+        return grown
+
+    assert number_all(total).state_count == total
+    with pytest.raises(ResourceLimitError) as on_demand:
+        number_all(total - 1)
+    with pytest.raises(ResourceLimitError) as built:
+        automata._explore(*_sdi_parts(a, a), cap=total - 1)
+    assert str(on_demand.value) == str(built.value) == f"exploration exceeded {total - 1} states"
+    assert on_demand.value.details == built.value.details == {"cap": total - 1}
+
+
+def test_explore_outputs_are_empty_exactly_without_finals():
+    # every state `_explore` numbers is reachable, which the deciders rely on
+    rng = random.Random(59)
+    pairs = list(_random_pairs(61, 60))
+    pairs += [(wide_random_nfa(rng), Nfa.empty_language(AB)) for _ in range(20)]
+    pairs += [(Nfa.empty_language(AB), astar_b()), (astar_b(), Nfa.empty_language(AB))]
+    empties = 0
+    for a, b in pairs:
+        b = b if b.alphabet == a.alphabet else Nfa.empty_language(a.alphabet)
+        for c in (sdi_nfa_direct(a, b), asdi_nfa_direct(a, b), product_intersection(a, b)):
+            assert is_empty(c) == (not c.finals)
+            empties += is_empty(c)
+    assert 0 < empties < 3 * len(pairs)

@@ -106,6 +106,13 @@ def test_decide_counterexample(files, capsys):
     assert "counterexample:" in out
 
 
+def test_consecutive_calls_share_no_arguments(files, capsys):
+    assert main(["decide", "counterexample-sdi", files["lab.nfa"], "--max-len", "3"]) == 0
+    capsys.readouterr()
+    assert main(["decide", "counterexample-sdi", files["lab.nfa"]]) == 2
+    assert "error: counterexample-sdi needs --max-len" in capsys.readouterr().err
+
+
 DECIDE_OPERAND_COUNTS = {
     "sdi-free": 2, "sdi-independent": 2, "asdi-free": 2, "asdi-independent": 2,
     "maxsdi-free": 2, "minsdi-free": 2, "maxsdi-independent": 2, "minsdi-independent": 2,

@@ -21,8 +21,9 @@ from sdikit import (
     verify_solution,
 )
 from sdikit.complexity import random_nfa
+from sdikit.equations import _apply
 
-from conftest import AB, ABC
+from conftest import AB, ABC, blowup
 
 
 def _spec(side, variant, known, result):
@@ -126,3 +127,17 @@ def test_candidate_empty_known_and_result_is_universal():
     cand = candidate(spec)
     assert equivalent(cand, Nfa.universal(AB))
     assert verify_solution(cand, spec)
+
+
+def test_verification_builds_only_what_the_search_reaches():
+    # unsolvable: the witness turns up long before the search has seen
+    # the whole left-hand side
+    known = Nfa.from_words(["ab", "ba", "abb"], AB)
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, blowup(9))
+    cand = candidate(spec)
+    lhs = _apply(cand, spec)
+    assert not equivalent(lhs, spec.result)
+    built = sdi_nfa_direct(cand, known).state_count
+    assert built == 8782
+    assert lhs.state_count < built / 2
+    assert lhs._expanded.bit_count() < built / 5

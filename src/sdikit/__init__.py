@@ -45,6 +45,7 @@ from .complexity import (
 )
 from .constructions import (
     asdi_nfa_direct,
+    bounded_insertion_words,
     finite_into_regular,
     insertion_nfa,
     max_sdi_membership,

@@ -21,6 +21,7 @@ from .automata import (
     trim,
 )
 from .constructions import (
+    bounded_insertion_words,
     finite_into_regular,
     insertion_nfa,
     max_sdi_membership,
@@ -28,7 +29,7 @@ from .constructions import (
     regular_max_sdi_finite,
 )
 from .equations import EquationResourceError, EquationSpec, UnknownSide
-from .oracle import SdiVariant, bounded_language_op
+from .oracle import SdiVariant
 from .textio import (
     EPSILON_TOKEN,
     format_word,
@@ -81,6 +82,17 @@ def _alphabet_of(*operands) -> object:
         if auto is not None:
             return auto.alphabet
     raise _UsageError("at least one operand must be an automaton file")
+
+
+def _bound(text: str) -> int:
+    """A `--max-len` value: a whole number, at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _load_trajectory(spec_text: str, kind: TrajectoryKind) -> TrajectoryLanguage:
@@ -143,10 +155,8 @@ def _cmd_op(args) -> int:
             )
         if args.max_len is None:
             raise _UsageError(f"{variant.value} of two automata needs --max-len")
-        hosts = enumerate_language(left[0], args.max_len)
-        inserted = enumerate_language(right[0], args.max_len)
-        produced = bounded_language_op(variant, hosts, inserted)
-        sys.stdout.write(serialize_words([w for w in produced if len(w) <= args.max_len]))
+        words = bounded_insertion_words(variant, left[0], right[0], args.max_len)
+        sys.stdout.write(serialize_words(list(words)))
         return EXIT_TRUE
     return _emit_result(args, result)
 
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trajectory set for shuffle/deletion: "
                       f"one of {', '.join(NAMED_TRAJECTORIES)} or an automaton file")
     p_op.add_argument("--out", metavar="FILE", help="write the result automaton")
-    p_op.add_argument("--max-len", type=int, help="enumerate the result up to this length")
+    p_op.add_argument("--max-len", type=_bound, help="enumerate the result up to this length")
     p_op.set_defaults(func=_cmd_op)
 
     p_member = sub.add_parser("member", help="decide membership in an operation result")
@@ -372,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="decision procedures")
     p_decide.add_argument("predicate", choices=list(_DECIDERS))
     p_decide.add_argument("operands", nargs="*")
-    p_decide.add_argument("--max-len", type=int, help="bound for counterexample search")
+    p_decide.add_argument("--max-len", type=_bound, help="bound for counterexample search")
     p_decide.set_defaults(func=_cmd_decide)
 
     p_solve = sub.add_parser("solve", help="one-variable language equation X op L = R or L op X = R")
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enum", help="enumerate a regular language")
     p_enum.add_argument("automaton")
-    p_enum.add_argument("--max-len", type=int, required=True)
+    p_enum.add_argument("--max-len", type=_bound, required=True)
     p_enum.set_defaults(func=_cmd_enum)
 
     p_audit = sub.add_parser("audit", help="construction size audit against the formula bound")
@@ -400,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fool = sub.add_parser("fooling", help="search a fooling set certifying an NFA lower bound")
     p_fool.add_argument("automaton")
     p_fool.add_argument("--target", type=int, required=True)
-    p_fool.add_argument("--max-len", type=int, required=True)
+    p_fool.add_argument("--max-len", type=_bound, required=True)
     p_fool.add_argument("--seed", type=int, default=0)
     p_fool.set_defaults(func=_cmd_fooling)
 

@@ -11,8 +11,10 @@ for the general and m + mn + m for the alphabetic variant.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .automata import Alphabet, InputError, Nfa, Word, _explore, membership, trim, union_all
-from .automata import complement_nfa, product_intersection, DEFAULT_STATE_CAP
+from .automata import complement_nfa, enumerate_language, product_intersection, DEFAULT_STATE_CAP
 from .oracle import SdiVariant, unbordered
 
 
@@ -439,3 +441,22 @@ def max_sdi_membership(w: Word, a: Nfa, b: Nfa) -> bool:
 def min_sdi_membership(w: Word, a: Nfa, b: Nfa) -> bool:
     """Does minimal insertion of some word of L(b) into L(a) produce w?"""
     return _insertion_membership(SdiVariant.MINIMAL, w, a, b)
+
+
+# -- bounded enumeration of any variant -----------------------------------
+
+
+def bounded_insertion_words(variant: SdiVariant, a: Nfa, b: Nfa, max_len: int) -> Iterator[Word]:
+    """The words of L(a) op L(b) of length <= max_len, in length-lex order.
+
+    Maximal and minimal insertion of two regular languages need not be
+    regular, so for them this walks the general construction and keeps
+    the words the polynomial decider accepts.  That is exact: every
+    max/min output is a general output whose site is maximal/minimal.
+    """
+    if variant in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
+        yield from enumerate_language(insertion_nfa(variant, a, b), max_len)
+        return
+    for w in enumerate_language(sdi_nfa_direct(a, b), max_len):
+        if _insertion_membership(variant, w, a, b):
+            yield w

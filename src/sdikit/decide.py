@@ -20,14 +20,19 @@ from .automata import (
     Nfa,
     Word,
     _OnDemand,
-    enumerate_language,
     inclusion_witness,
     membership,
     product_intersection,
     shortest_word,
 )
-from .constructions import _sdi_parts, asdi_nfa_direct, regular_max_sdi_finite, sdi_nfa_direct
-from .oracle import SdiVariant, bounded_language_op
+from .constructions import (
+    _sdi_parts,
+    asdi_nfa_direct,
+    bounded_insertion_words,
+    regular_max_sdi_finite,
+    sdi_nfa_direct,
+)
+from .oracle import SdiVariant
 
 
 @dataclass(frozen=True)
@@ -152,15 +157,14 @@ def two_var_solvable(r: Nfa) -> DecisionReport:
 def closure_counterexample_search(
     variant: SdiVariant, a: Nfa, max_len: int
 ) -> Word | None:
-    """Bounded probe: a word of (L(a) ⊕ L(a)) − L(a) of length ≤ max_len.
+    """Bounded probe: the length-lex least word of (L(a) ⊕ L(a)) − L(a)
+    of length ≤ max_len, or None.
 
-    Exhaustive at the bound because an insertion output is never shorter
-    than either operand.  Absence of a counterexample at the bound proves
-    nothing about closure.
+    Walks `bounded_insertion_words`: the general construction enumerated
+    up to the bound, for max/min filtered by the polynomial membership
+    decider, and stops at the first word outside L(a).  Absence of a
+    counterexample at the bound proves nothing about closure.
     """
-    words = enumerate_language(a, max_len)
-    produced = bounded_language_op(variant, words, words)
-    for w in sorted(produced, key=lambda w: (len(w), w)):
-        if len(w) <= max_len and not membership(a, w):
-            return w
-    return None
+    return next(
+        (w for w in bounded_insertion_words(variant, a, a, max_len) if not membership(a, w)), None
+    )

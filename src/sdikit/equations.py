@@ -24,7 +24,6 @@ from .automata import (
     complement,
     determinize,
     equivalent,
-    trim,
 )
 from .constructions import _asdi_parts, _sdi_parts
 from .oracle import SdiVariant
@@ -83,7 +82,7 @@ def candidate(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     else:
         # known (rev-delete) result_bar unfolds to deleting known from result_bar
         deleted = reversed_deletion(spec.known, result_bar, traj)
-    return complement(determinize(trim(deleted), cap))
+    return complement(determinize(deleted, cap))
 
 
 def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:

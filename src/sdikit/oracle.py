@@ -1,7 +1,10 @@
 """Brute-force string semantics for the insertion and trajectory operations.
 
 Everything here works by direct enumeration of decompositions and is the
-ground truth that the automaton constructions are validated against.
+ground truth that the automaton constructions are validated against.  It
+is a reference for the tests only: no CLI command calls it.  Bounded
+max/min probes walk the general SDI automaton and filter its words with
+the polynomial membership decider (`constructions.bounded_insertion_words`).
 
 Site-directed insertion of y into x matches a nontrivial outfix (u, v) of
 y = u·z·v against a substring u·v of x = x1·u·v·x2 and yields x1·u·z·v·x2.

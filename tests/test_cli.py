@@ -1,10 +1,18 @@
 import pytest
 
-from sdikit import Nfa, SdiVariant, equivalent, sdi_nfa_direct
+from sdikit import (
+    Nfa,
+    SdiVariant,
+    bounded_language_op,
+    enumerate_language,
+    equivalent,
+    oracle,
+    sdi_nfa_direct,
+)
 from sdikit.cli import main
-from sdikit.textio import load_automaton, save_automaton
+from sdikit.textio import load_automaton, save_automaton, serialize_words
 
-from conftest import AB, ABC
+from conftest import AB, ABC, ba_blocks
 
 
 @pytest.fixture
@@ -52,6 +60,37 @@ def test_op_requires_bound_for_two_automata_maxsdi(files, capsys):
     rc = main(["op", "--variant", "maxsdi", files["host.nfa"], files["host.nfa"], "--max-len", "12"])
     assert rc == 0
     assert capsys.readouterr().out.splitlines()[-1] == "ababab"
+
+
+@pytest.mark.parametrize("variant", ["maxsdi", "minsdi"])
+def test_op_maxmin_rejects_mismatched_alphabets(files, capsys, variant):
+    rc = main(["op", "--variant", variant, files["lab.nfa"], files["host.nfa"], "--max-len", "6"])
+    assert rc == 2
+    assert "operand alphabets differ" in capsys.readouterr().err
+
+
+def test_bounded_probes_never_call_the_oracle(files, capsys, monkeypatch):
+    host = ba_blocks(2, "$")
+    inserted = ba_blocks(2, "%$")
+    paths = [files["tmp"] + "/blocks.nfa", files["tmp"] + "/inserted.nfa"]
+    save_automaton(paths[0], host)
+    save_automaton(paths[1], inserted)
+    expected = {}
+    for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+        produced = bounded_language_op(variant, enumerate_language(host, 12), enumerate_language(inserted, 12))
+        expected[variant] = serialize_words([w for w in produced if len(w) <= 12])
+
+    def refuse(x, y):
+        raise AssertionError("the string oracle was called")
+
+    for variant in SdiVariant:
+        monkeypatch.setitem(oracle._VARIANT_OPS, variant, refuse)
+    for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+        assert main(["op", "--variant", variant.value, *paths, "--max-len", "12"]) == 0
+        assert capsys.readouterr().out == expected[variant]
+    for predicate in ("counterexample-sdi", "counterexample-max", "counterexample-min"):
+        assert main(["decide", predicate, paths[0], "--max-len", "12"]) == 1
+        assert capsys.readouterr().out == "counterexample: bababa$\n"
 
 
 def test_op_writes_equivalent_automaton(files):
@@ -154,6 +193,24 @@ def test_solve_round_trip(files, capsys):
 def test_enum(files, capsys):
     assert main(["enum", files["pair.nfa"], "--max-len", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == ["b", "ab"]
+
+
+@pytest.mark.parametrize(
+    "argv, code_at_zero",
+    [
+        (["op", "--variant", "maxsdi", "lab.nfa", "lab.nfa"], 0),
+        (["decide", "counterexample-sdi", "lab.nfa"], 0),
+        (["enum", "lab.nfa"], 0),
+        (["fooling", "lab.nfa", "--target", "1"], 1),
+    ],
+)
+def test_negative_max_len_is_usage_error(files, capsys, argv, code_at_zero):
+    argv = [files.get(arg, arg) for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-len", "-1"])
+    assert exc.value.code == 2
+    assert "--max-len: must be at least 0, got -1" in capsys.readouterr().err
+    assert main([*argv, "--max-len", "0"]) == code_at_zero
 
 
 def test_audit(files, capsys):

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from sdikit import (
     Nfa,
     SdiVariant,
+    bounded_insertion_words,
     bounded_language_op,
     closed_under_finite_maxmin,
     closure_counterexample_search,
@@ -24,7 +27,7 @@ from sdikit import (
 )
 from sdikit.complexity import random_nfa
 
-from conftest import AB, ABC, all_words
+from conftest import AB, ABC, all_words, lenlex
 
 
 def test_sdi_free_examples():
@@ -194,3 +197,29 @@ def test_counterexample_search_agrees_with_oracle():
         )
         got = closure_counterexample_search(SdiVariant.GENERAL, a, 7)
         assert got == (escaped[0] if escaped else None)
+
+
+def _small_nfa(rng, alphabet):
+    """1-3 random states; about a quarter accept nothing."""
+    a = random_nfa(rng, rng.randint(1, 3), alphabet)
+    if rng.random() < 0.25:
+        a = Nfa(alphabet, a.state_count, a.initial, frozenset(), a.transitions)
+    return a
+
+
+@pytest.mark.parametrize("variant", list(SdiVariant))
+def test_bounded_insertion_words_agree_with_oracle(variant):
+    # No operand of an output is longer than the output, so the oracle
+    # over the operands' words up to n gives every output up to n.
+    rng = random.Random(f"bounded:{variant.value}")
+    for i in range(10):
+        alphabet, n = (AB, 6) if i % 2 else (ABC, 4)
+        a, b = _small_nfa(rng, alphabet), _small_nfa(rng, alphabet)
+        hosts, inserted = enumerate_language(a, n), enumerate_language(b, n)
+        want = {w for w in bounded_language_op(variant, hosts, inserted) if len(w) <= n}
+        assert list(bounded_insertion_words(variant, a, b, n)) == lenlex(want)
+        escaped = lenlex(
+            w for w in bounded_language_op(variant, hosts, hosts)
+            if len(w) <= n and not membership(a, w)
+        )
+        assert closure_counterexample_search(variant, a, n) == (escaped[0] if escaped else None)

@@ -83,7 +83,6 @@ from .oracle import (
     bounded_language_op,
     delete_on_trajectory,
     max_sdi_strings,
-    max_sdi_strings_alt,
     min_sdi_strings,
     scan_language,
     scan_member,

@@ -10,9 +10,11 @@ Every subset walk (membership, subset construction, enumeration, the
 shortest word, the inclusion/equivalence search and the canonical
 renumbering) steps sets of states held as int bitsets over one
 per-symbol successor table cached on the automaton (`Nfa._masks`);
-enumeration steps each distinct subset once.  Solution verification and
-the SDI closure check step the SDI construction on demand (`_OnDemand`)
-and build only the states their search reaches.
+enumeration steps each distinct subset once.  `shortest_word` is the one
+emptiness search and steps each state once.  Freeness, independence,
+solution verification and the SDI closure check step the SDI
+construction (and its product with an automaton, `_meet_parts`) on
+demand (`_OnDemand`) and build only the states their search reaches.
 """
 
 from __future__ import annotations
@@ -269,9 +271,10 @@ class _OnDemand:
     A key gets the next id the first time a move reaches it, `start`
     being 0, and its final bit is set then; its moves are computed the
     first time a subset containing it is stepped, so ids follow the
-    walk, not `_explore`'s worklist.  Offers what `_subset_witness`
-    reads of an `Nfa`: `alphabet`, `initial`, `state_count` (the keys
-    numbered so far), `_step` and `_final_bits`.  Moves carry symbols,
+    walk, not `_explore`'s worklist.  Offers what `_subset_witness` and
+    `shortest_word` read of an `Nfa`: `alphabet`, `initial`,
+    `state_count` (the keys numbered so far), `_step` and `_final_bits`
+    (which grows as `_step` numbers keys).  Moves carry symbols,
     never None.  Raises ResourceLimitError when more than `cap` keys are
     numbered.
     """
@@ -420,17 +423,27 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for L(a) ∩ L(b), reachable pairs only."""
     alphabet = _require_same_alphabet(a.alphabet, b)
 
-    def expand(pair: tuple[int, int]) -> Iterator[tuple[str, tuple[int, int]]]:
-        p, q = pair
+    def moves(p: int) -> Iterator[tuple[str, int]]:
         for sym in alphabet:
             for p2 in a.successors(p, sym):
-                for q2 in b.successors(q, sym):
-                    yield sym, (p2, q2)
+                yield sym, p2
 
-    count, finals, trans = _explore(
-        (a.initial, b.initial), expand, lambda pair: pair[0] in a.finals and pair[1] in b.finals
-    )
+    count, finals, trans = _explore(*_meet_parts(a.initial, moves, a.finals.__contains__, b))
     return Nfa(alphabet, count, 0, finals, trans)
+
+
+def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -> tuple:
+    """The (start, expand, is_final) of the product with `b` of the
+    construction with these parts, for `_explore` or `_OnDemand`.  The
+    caller checks that the alphabets agree."""
+
+    def meet(pair: tuple[Hashable, int]) -> Iterator[tuple[str, tuple[Hashable, int]]]:
+        key, q = pair
+        for sym, nxt in expand(key):
+            for q2 in b.successors(q, sym):
+                yield sym, (nxt, q2)
+
+    return (start, b.initial), meet, lambda pair: pair[1] in b.finals and is_final(pair[0])
 
 
 def union(a: Nfa, b: Nfa) -> Nfa:
@@ -470,7 +483,7 @@ def _coreachable(a: Nfa) -> set[int]:
 
 
 def is_empty(a: Nfa) -> bool:
-    return not (_reachable(a) & a.finals)
+    return shortest_word(a) is None
 
 
 def trim(a: Nfa) -> Nfa:
@@ -628,23 +641,28 @@ def enumerate_language(a: Nfa, max_len: int) -> list[Word]:
     return out
 
 
-def shortest_word(a: Nfa) -> Word | None:
+def shortest_word(a: Nfa | _OnDemand) -> Word | None:
     """Length-lex least accepted word, or None for the empty language.
 
-    A FIFO breadth-first search over the int bitsets of states that one
-    word reaches, symbols in alphabet order, so subsets are met in the
-    length-lex order of the least words reaching them; the first subset
-    with a final state gives the answer.
+    A FIFO breadth-first search over int bitsets, symbols in alphabet
+    order, that keeps only states no earlier step reached: each state
+    joins the frontier of the least word reaching it and is stepped
+    once, and the first frontier with a final state gives the answer.
+    On an `_OnDemand` it re-reads `_final_bits` after each `_step`.
     """
-    symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
-    start = 1 << a.initial
+    symbols = a.alphabet.symbols
+    start = seen = 1 << a.initial
     parent: dict[int, tuple[int, str] | None] = {start: None}
-    found = start if start & finals else None
+    found = start if start & a._final_bits else None
     queue = deque([start])
     while queue and found is None:
         subset = queue.popleft()
-        for sym, nxt in zip(symbols, _step_all(subset, masks)):
-            if nxt and nxt not in parent:
+        steps = a._step(subset)
+        finals = a._final_bits
+        for sym, nxt in zip(symbols, steps):
+            nxt &= ~seen
+            if nxt:
+                seen |= nxt
                 parent[nxt] = (subset, sym)
                 if nxt & finals:
                     found = nxt

@@ -7,7 +7,9 @@ the inserted middle z must be nonempty (otherwise every language whose
 words admit a site would trivially fail against itself).  The maximal
 and minimal variants of both predicates coincide with the general ones,
 because an insertion site admits a maximal/minimal insertion exactly
-when it admits any.
+when it admits any.  Freeness and independence are one `shortest_word`
+search over the construction (for independence, its product with L(b)),
+stepped on demand, so a false answer stops at its least witness.
 """
 
 from __future__ import annotations
@@ -19,18 +21,20 @@ from .automata import (
     InputError,
     Nfa,
     Word,
+    _meet_parts,
     _OnDemand,
+    _require_same_alphabet,
     inclusion_witness,
     membership,
     product_intersection,
     shortest_word,
 )
 from .constructions import (
+    _asdi_parts,
+    _insertion_membership,
     _sdi_parts,
-    asdi_nfa_direct,
     bounded_insertion_words,
     regular_max_sdi_finite,
-    sdi_nfa_direct,
 )
 from .oracle import SdiVariant
 
@@ -40,9 +44,9 @@ class DecisionReport:
     predicate: str
     answer: bool
     witness: Word | None = None
-    #: Sizes behind the verdict: `construction_states` and `product_states`
-    #: count the states of the automata built; `explored_states` counts the
-    #: states of an on-demand construction that the search numbered.
+    #: Sizes behind the verdict: `explored_states` counts the states of
+    #: an on-demand construction (or product) that the search numbered;
+    #: `construction_states` counts the states of an automaton built whole.
     resources: dict[str, int] = field(default_factory=dict)
 
     def __str__(self) -> str:
@@ -54,42 +58,29 @@ class DecisionReport:
         return "  ".join(parts)
 
 
-def _emptiness_report(predicate: str, product: Nfa, extra: dict[str, int]) -> DecisionReport:
-    answer = not product.finals  # every state of an `_explore` output is reachable
-    witness = None if answer else shortest_word(product)
-    return DecisionReport(predicate, answer, witness, extra)
+def _emptiness_report(predicate: str, search: _OnDemand) -> DecisionReport:
+    witness = shortest_word(search)
+    return DecisionReport(predicate, witness is None, witness, {"explored_states": search.state_count})
 
 
 def is_sdi_free(a: Nfa, b: Nfa) -> DecisionReport:
     """L(a) ⊕ L(b) = ∅ for general site-directed insertion."""
-    c = sdi_nfa_direct(a, b)
-    return _emptiness_report("sdi-free", c, {"construction_states": c.state_count})
+    return _emptiness_report("sdi-free", _OnDemand(a.alphabet, *_sdi_parts(a, b)))
 
 
 def is_asdi_free(a: Nfa, b: Nfa) -> DecisionReport:
-    c = asdi_nfa_direct(a, b)
-    return _emptiness_report("asdi-free", c, {"construction_states": c.state_count})
+    return _emptiness_report("asdi-free", _OnDemand(a.alphabet, *_asdi_parts(a, b)))
 
 
 def is_sdi_independent(a: Nfa, b: Nfa) -> DecisionReport:
     """(L(a) ⊕ nonempty-middle insertions) ∩ L(b) = ∅."""
-    grown = sdi_nfa_direct(a, Nfa.sigma_plus(a.alphabet), require_insertion=True)
-    product = product_intersection(grown, b)
-    return _emptiness_report(
-        "sdi-independent",
-        product,
-        {"construction_states": grown.state_count, "product_states": product.state_count},
-    )
+    grown = _sdi_parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
+    return _emptiness_report("sdi-independent", _OnDemand(a.alphabet, *_meet_parts(*grown, b)))
 
 
 def is_asdi_independent(a: Nfa, b: Nfa) -> DecisionReport:
-    grown = asdi_nfa_direct(a, Nfa.sigma_plus(a.alphabet), require_insertion=True)
-    product = product_intersection(grown, b)
-    return _emptiness_report(
-        "asdi-independent",
-        product,
-        {"construction_states": grown.state_count, "product_states": product.state_count},
-    )
+    grown = _asdi_parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
+    return _emptiness_report("asdi-independent", _OnDemand(a.alphabet, *_meet_parts(*grown, b)))
 
 
 def _maxmin_name(variant: SdiVariant, suffix: str) -> str:
@@ -148,10 +139,8 @@ def two_var_solvable(r: Nfa) -> DecisionReport:
     an insertion output always contains the nonempty matched prefix and
     suffix, so no output is shorter than two symbols.
     """
-    short = product_intersection(r, Nfa.at_most_one_symbol(r.alphabet))
-    answer = not short.finals  # every state of an `_explore` output is reachable
-    witness = None if answer else shortest_word(short)
-    return DecisionReport("two-var-solvable", answer, witness, {})
+    witness = shortest_word(product_intersection(r, Nfa.at_most_one_symbol(r.alphabet)))
+    return DecisionReport("two-var-solvable", witness is None, witness, {})
 
 
 def closure_counterexample_search(
@@ -160,11 +149,15 @@ def closure_counterexample_search(
     """Bounded probe: the length-lex least word of (L(a) ⊕ L(a)) − L(a)
     of length ≤ max_len, or None.
 
-    Walks `bounded_insertion_words`: the general construction enumerated
-    up to the bound, for max/min filtered by the polynomial membership
-    decider, and stops at the first word outside L(a).  Absence of a
+    Walks the general (or alphabetic) construction up to the bound in
+    length-lex order and keeps the words outside L(a); for max/min it
+    then keeps only those the polynomial membership decider accepts, so
+    words that stay in L(a) never pay for the decider.  Exact, since
+    every max/min output is a general output.  Absence of a
     counterexample at the bound proves nothing about closure.
     """
-    return next(
-        (w for w in bounded_insertion_words(variant, a, a, max_len) if not membership(a, w)), None
-    )
+    base = variant if variant is SdiVariant.ALPHABETIC else SdiVariant.GENERAL
+    escaped = (w for w in bounded_insertion_words(base, a, a, max_len) if not membership(a, w))
+    if variant is not base:
+        escaped = (w for w in escaped if _insertion_membership(variant, w, a, a))
+    return next(escaped, None)

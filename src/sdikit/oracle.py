@@ -102,28 +102,6 @@ def max_sdi_strings(x: Word, y: Word) -> set[Word]:
     return out
 
 
-def max_sdi_strings_alt(x: Word, y: Word) -> set[Word]:
-    """Maximal variant via the two one-sided conditions: no suffix of x1·u
-    longer than u is a prefix of u·z, and no prefix of v·x2 longer than v
-    is a suffix of z·v.  Must agree with max_sdi_strings everywhere."""
-    out = set()
-    for x1, u, z, v, x2 in _decompositions(x, y):
-        uz, zv = u + z, z + v
-        left_blocked = any(
-            (x1[len(x1) - lp :] + u) == uz[: lp + len(u)]
-            for lp in range(1, min(len(x1), len(z)) + 1)
-        )
-        if left_blocked:
-            continue
-        right_blocked = any(
-            (v + x2[:lq]) == zv[len(zv) - len(v) - lq :]
-            for lq in range(1, min(len(x2), len(z)) + 1)
-        )
-        if not right_blocked:
-            out.add(x1 + u + z + v + x2)
-    return out
-
-
 def min_sdi_strings(x: Word, y: Word) -> set[Word]:
     """Minimal variant: u and v must be unbordered."""
     out = set()

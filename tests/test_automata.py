@@ -393,6 +393,21 @@ def test_enumeration_steps_each_subset_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= 2**11
 
 
+def test_shortest_word_steps_each_state_once(monkeypatch):
+    calls = []
+
+    def counting_step_all(subset, masks):
+        calls.append(subset)
+        return step_all(subset, masks)
+
+    step_all = automata._step_all
+    monkeypatch.setattr(automata, "_step_all", counting_step_all)
+    # a subset search would step 2^11 + 1 subsets before it reaches a^13
+    assert shortest_word(blowup(12)) == "a" * 13
+    assert len(calls) <= 14
+    assert not any(p & q for i, p in enumerate(calls) for q in calls[i + 1 :])
+
+
 def test_determinize_cap_boundary():
     k = 9
     with pytest.raises(ResourceLimitError):

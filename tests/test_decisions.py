@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from sdikit import constructions, decide
 from sdikit import (
+    InputError,
     Nfa,
     SdiVariant,
+    asdi_nfa_direct,
     bounded_insertion_words,
     bounded_language_op,
     closed_under_finite_maxmin,
@@ -20,14 +23,16 @@ from sdikit import (
     max_sdi_membership,
     membership,
     min_sdi_membership,
+    product_intersection,
     scan_language,
     sdi_nfa_direct,
     sdi_strings,
+    shortest_word,
     two_var_solvable,
 )
 from sdikit.complexity import random_nfa
 
-from conftest import AB, ABC, all_words, lenlex
+from conftest import AB, ABC, all_words, blowup, lenlex, wide_random_nfa
 
 
 def test_sdi_free_examples():
@@ -223,3 +228,72 @@ def test_bounded_insertion_words_agree_with_oracle(variant):
             if len(w) <= n and not membership(a, w)
         )
         assert closure_counterexample_search(variant, a, n) == (escaped[0] if escaped else None)
+
+
+def _built_witnesses(a, b):
+    """Each predicate's witness through automata built in full."""
+    sigma_plus = Nfa.sigma_plus(a.alphabet)
+    return {
+        is_sdi_free: shortest_word(sdi_nfa_direct(a, b)),
+        is_asdi_free: shortest_word(asdi_nfa_direct(a, b)),
+        is_sdi_independent: shortest_word(product_intersection(sdi_nfa_direct(a, sigma_plus, True), b)),
+        is_asdi_independent: shortest_word(product_intersection(asdi_nfa_direct(a, sigma_plus, True), b)),
+    }
+
+
+def test_on_demand_predicates_match_the_built_path():
+    # freeness and independence search the construction (and product) on
+    # demand; answer and witness must be those of the built automata
+    rng = random.Random(191)
+    shapes = dict.fromkeys(["empty host", "no finals", "over 64", "true", "false"], 0)
+    for i in range(40):
+        a = wide_random_nfa(rng)
+        b = wide_random_nfa(rng)
+        if i % 8 == 0:
+            a = Nfa.empty_language(a.alphabet)
+        if b.alphabet != a.alphabet or i % 8 == 1:
+            b = Nfa(a.alphabet, b.state_count, b.initial, frozenset(), frozenset())
+        shapes["empty host"] += shortest_word(a) is None
+        shapes["no finals"] += not a.finals or not b.finals
+        shapes["over 64"] += max(a.state_count, b.state_count) > 64
+        for predicate, witness in _built_witnesses(a, b).items():
+            report = predicate(a, b)
+            assert (report.answer, report.witness) == (witness is None, witness)
+            shapes["true" if report.answer else "false"] += 1
+        r = a if i % 2 else b
+        witness = shortest_word(product_intersection(r, Nfa.at_most_one_symbol(r.alphabet)))
+        assert (two_var_solvable(r).answer, two_var_solvable(r).witness) == (witness is None, witness)
+    assert min(shapes.values()) >= 5, shapes
+
+
+def test_independence_rejects_an_alphabet_mismatch():
+    with pytest.raises(InputError, match="alphabet mismatch"):
+        is_sdi_independent(Nfa.universal(AB), Nfa.universal(ABC))
+    with pytest.raises(InputError, match="alphabet mismatch"):
+        is_asdi_independent(Nfa.universal(AB), Nfa.universal(ABC))
+
+
+def test_freeness_explores_only_what_it_reaches():
+    # the built construction would pay for nothing here; the search
+    # numbers the k + 2 host states and stops
+    report = is_sdi_free(blowup(16), Nfa.empty_language(AB))
+    assert report.answer and report.resources["explored_states"] <= 18
+
+
+def test_maxmin_counterexample_search_tests_membership_first(monkeypatch):
+    # on L(a) = {a,b}* no output escapes, so the max/min decider never runs
+    calls = []
+
+    def counting(variant, w, a, b):
+        calls.append(w)
+        return decider(variant, w, a, b)
+
+    decider = constructions._insertion_membership
+    monkeypatch.setattr(constructions, "_insertion_membership", counting)
+    monkeypatch.setattr(decide, "_insertion_membership", counting, raising=False)
+    for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+        assert closure_counterexample_search(variant, Nfa.universal(AB), 8) is None
+    assert calls == []
+    host = Nfa.from_words({"ababab"}, ABC)
+    assert closure_counterexample_search(SdiVariant.MAXIMAL, host, 12) is None
+    assert calls  # words outside L(a) still go through the decider

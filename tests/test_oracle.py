@@ -7,7 +7,6 @@ from sdikit import (
     bounded_language_op,
     delete_on_trajectory,
     max_sdi_strings,
-    max_sdi_strings_alt,
     min_sdi_strings,
     scan_language,
     scan_member,
@@ -16,9 +15,33 @@ from sdikit import (
     unbordered,
 )
 
+from sdikit.oracle import _decompositions
+
 from conftest import all_words, lenlex
 
 GOLDEN_MAX = {"acbabab", "abacbab", "ababacbab"}
+
+
+def max_sdi_strings_alt(x, y):
+    """Maximal variant via the two one-sided conditions: no suffix of x1·u
+    longer than u is a prefix of u·z, and no prefix of v·x2 longer than v
+    is a suffix of z·v.  A test oracle independent of `max_sdi_strings`."""
+    out = set()
+    for x1, u, z, v, x2 in _decompositions(x, y):
+        uz, zv = u + z, z + v
+        left_blocked = any(
+            (x1[len(x1) - lp :] + u) == uz[: lp + len(u)]
+            for lp in range(1, min(len(x1), len(z)) + 1)
+        )
+        if left_blocked:
+            continue
+        right_blocked = any(
+            (v + x2[:lq]) == zv[len(zv) - len(v) - lq :]
+            for lq in range(1, min(len(x2), len(z)) + 1)
+        )
+        if not right_blocked:
+            out.add(x1 + u + z + v + x2)
+    return out
 
 
 def test_sdi_examples():

@@ -10,7 +10,9 @@ Every subset walk (membership, subset construction, enumeration, the
 shortest word, the inclusion/equivalence search and the canonical
 renumbering) steps sets of states held as int bitsets over one
 per-symbol successor table cached on the automaton (`Nfa._masks`);
-enumeration steps each distinct subset once.  `shortest_word` is the one
+enumeration steps each distinct subset once.  The canonical renumbering
+is one routine, `_canonical_rows`, behind both `canonicalize` and
+`textio.serialize_automaton`.  `shortest_word` is the one
 emptiness search and steps each state once.  Freeness, independence,
 solution verification and the SDI closure check step the SDI
 construction (and its product with an automaton, `_meet_parts`) on
@@ -67,13 +69,15 @@ class Alphabet:
             seen.add(sym)
         # canonical order makes alphabet equality order-insensitive
         object.__setattr__(self, "symbols", tuple(sorted(self.symbols)))
+        # hashed membership for the per-transition checks; not a field
+        object.__setattr__(self, "_symbol_set", frozenset(self.symbols))
 
     @classmethod
     def from_string(cls, symbols: str) -> "Alphabet":
         return cls(tuple(symbols))
 
     def __contains__(self, sym: str) -> bool:
-        return sym in self.symbols
+        return sym in self._symbol_set
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.symbols)
@@ -83,7 +87,7 @@ class Alphabet:
 
     def check_word(self, word: Word) -> Word:
         for sym in word:
-            if sym not in self.symbols:
+            if sym not in self._symbol_set:
                 raise InputError(f"symbol {sym!r} not in alphabet {''.join(self.symbols)!r}")
         return word
 
@@ -101,17 +105,18 @@ class Nfa:
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
-        if self.state_count < 1:
+        count, symbols = self.state_count, self.alphabet._symbol_set
+        if count < 1:
             raise InputError("automaton needs at least one state")
-        if not 0 <= self.initial < self.state_count:
+        if not 0 <= self.initial < count:
             raise InputError(f"initial state {self.initial} out of range")
         for q in self.finals:
-            if not 0 <= q < self.state_count:
+            if not 0 <= q < count:
                 raise InputError(f"final state {q} out of range")
         for src, sym, dst in self.transitions:
-            if not (0 <= src < self.state_count and 0 <= dst < self.state_count):
+            if not (0 <= src < count and 0 <= dst < count):
                 raise InputError(f"transition ({src}, {sym!r}, {dst}) out of range")
-            if sym not in self.alphabet:
+            if sym not in symbols:
                 raise InputError(f"transition symbol {sym!r} not in alphabet")
 
     @cached_property
@@ -434,12 +439,18 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
 
 def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -> tuple:
     """The (start, expand, is_final) of the product with `b` of the
-    construction with these parts, for `_explore` or `_OnDemand`.  The
-    caller checks that the alphabets agree."""
+    construction with these parts, for `_explore` or `_OnDemand`.  A key
+    is paired with many states of `b`, so its moves are expanded once per
+    search, in their order, and reused.  The caller checks that the
+    alphabets agree."""
+    moves: dict[Hashable, tuple[tuple[str, Hashable], ...]] = {}
 
     def meet(pair: tuple[Hashable, int]) -> Iterator[tuple[str, tuple[Hashable, int]]]:
         key, q = pair
-        for sym, nxt in expand(key):
+        out = moves.get(key)
+        if out is None:
+            out = moves[key] = tuple(expand(key))
+        for sym, nxt in out:
             for q2 in b.successors(q, sym):
                 yield sym, (nxt, q2)
 
@@ -501,22 +512,50 @@ def trim(a: Nfa) -> Nfa:
     return Nfa(a.alphabet, len(useful), remap[a.initial], finals, trans)
 
 
+def _canonical_rows(a: Nfa) -> tuple[int, list[int], list[tuple[int, str, list[int]]]]:
+    """The canonical renumbering, the one routine behind `canonicalize`
+    and `textio.serialize_automaton`.
+
+    Reachable states are numbered breadth-first from the initial state,
+    which becomes 0; the successors of a state are met by symbol, in
+    alphabet order, then by their id in `a`, read off `a._masks`.
+    Returns the reachable state count, the new ids of the reachable
+    finals in ascending order, and every nonempty row (source, symbol,
+    targets) by source, then symbol, with the targets in ascending new
+    id: the transitions in canonical text order.
+    """
+    masks = a._masks
+    new = [-1] * a.state_count
+    new[a.initial] = 0
+    order = [a.initial]
+    rows: list[tuple[int, str, list[int]]] = []
+    for src, q in enumerate(order):  # grows while it is walked: a FIFO queue
+        for sym, row in masks.items():
+            succ = row[q]
+            if not succ:
+                continue
+            targets = []
+            while succ:  # `_bits`, inlined: this loop sees every transition
+                low = succ & -succ
+                dst = low.bit_length() - 1
+                nid = new[dst]
+                if nid < 0:
+                    nid = new[dst] = len(order)
+                    order.append(dst)
+                targets.append(nid)
+                succ ^= low
+            targets.sort()
+            rows.append((src, sym, targets))
+    finals = sorted(new[q] for q in a.finals if new[q] >= 0)
+    return len(order), finals, rows
+
+
 def canonicalize(a: Nfa) -> Nfa:
     """Renumber reachable states in BFS order from the initial state;
     the successors of a state are visited by symbol, then by state id."""
-    order = {a.initial: 0}
-    queue = [a.initial]
-    trans: list[tuple[int, str, int]] = []
-    for q in queue:  # grows while it is walked: a FIFO queue
-        src = order[q]
-        for sym, row in a._masks.items():
-            for dst in _bits(row[q]):
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-                trans.append((src, sym, order[dst]))
-    finals = frozenset(order[q] for q in a.finals if q in order)
-    out = Nfa(a.alphabet, len(order), 0, finals, frozenset(trans))
+    count, finals, rows = _canonical_rows(a)
+    trans = frozenset((src, sym, dst) for src, sym, targets in rows for dst in targets)
+    out = Nfa(a.alphabet, count, 0, frozenset(finals), trans)
     return as_dfa(out) if isinstance(a, Dfa) else out
 
 

@@ -10,13 +10,19 @@ Automaton format, one item per line, `#` starts a comment:
     0 b -> 1
     1 a -> 2
 
+Written automata are canonical (`serialize_automaton`): the reachable
+states renumbered breadth-first from the initial state, which becomes
+0, and the transitions by source, symbol and target, so equal inputs
+give equal bytes.  The text is streamed row by row from the automaton's
+successor table through the renumbering `automata.canonicalize` uses.
+
 Word lists hold one word per line; the empty word is written `-`
 (that character can never be an alphabet symbol).
 """
 
 from __future__ import annotations
 
-from .automata import Alphabet, Dfa, InputError, Nfa, Word, canonicalize, is_deterministic
+from .automata import Alphabet, Dfa, InputError, Nfa, Word, _canonical_rows, is_deterministic
 
 EPSILON_TOKEN = "-"
 
@@ -90,18 +96,22 @@ def parse_dfa(text: str) -> Dfa:
 
 
 def serialize_automaton(a: Nfa) -> str:
-    """Canonical text: BFS state order, transitions sorted by source,
-    symbol (in alphabet order) and target. Deterministic."""
-    c = canonicalize(a)
+    """Canonical text: the states of `canonicalize(a)` (BFS order from
+    the initial state), transitions by source, symbol (in alphabet order)
+    and target.  Deterministic.  Each (source, symbol) row is written as
+    the renumbering shared with `canonicalize` reads it off the successor
+    table, so no renumbered automaton is built and nothing is sorted but
+    the targets of one row."""
+    count, finals, rows = _canonical_rows(a)
     lines = [
-        "alphabet: " + " ".join(c.alphabet),
-        f"states: {c.state_count}",
-        f"initial: {c.initial}",
-        "final: " + " ".join(str(q) for q in sorted(c.finals)),
+        "alphabet: " + " ".join(a.alphabet),
+        f"states: {count}",
+        "initial: 0",
+        "final: " + " ".join(map(str, finals)),
     ]
-    # alphabet order is string order, so plain tuple order is
-    # (source, symbol index, target)
-    lines.extend(f"{src} {sym} -> {dst}" for src, sym, dst in sorted(c.transitions))
+    for src, sym, targets in rows:
+        prefix = f"{src} {sym} -> "
+        lines.append(prefix + ("\n" + prefix).join(map(str, targets)))
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -297,3 +297,29 @@ def test_maxmin_counterexample_search_tests_membership_first(monkeypatch):
     host = Nfa.from_words({"ababab"}, ABC)
     assert closure_counterexample_search(SdiVariant.MAXIMAL, host, 12) is None
     assert calls  # words outside L(a) still go through the decider
+
+
+@pytest.mark.parametrize("parts", ["_sdi_parts", "_asdi_parts"])
+def test_independence_expands_each_key_once(monkeypatch, parts):
+    # a grown key is paired with many states of b; its moves are computed
+    # once per search, not once per pair
+    calls = {}
+    real = getattr(decide, parts)
+
+    def counting(a, b, require_insertion=False):
+        start, expand, is_final = real(a, b, require_insertion)
+
+        def counted(key):
+            calls[key] = calls.get(key, 0) + 1
+            return expand(key)
+
+        return start, counted, is_final
+
+    monkeypatch.setattr(decide, parts, counting)
+    predicate = is_sdi_independent if parts == "_sdi_parts" else is_asdi_independent
+    rng = random.Random(3)
+    a = random_nfa(rng, 6, AB, density=0.3)
+    b = random_nfa(rng, 6, AB, density=0.3)
+    report = predicate(a, b)
+    assert report.resources["explored_states"] > 2 * len(calls)
+    assert set(calls.values()) == {1}

@@ -8,8 +8,11 @@ seeded inputs; its sha256 digest is pinned below.
 
 The digests were printed by `PYTHONPATH=src python tests/test_golden.py`
 at the commit before the shared exploration kernel, when every builder
-still ran its own worklist, and they are unchanged since.  Regenerate
-them the same way only for a deliberate change of numbering.
+still ran its own worklist, and they are unchanged since.  The
+`sdi_nfa_direct_r30` digest (164k transitions; every other case is
+built from operands of at most 9 states) was printed the same way at
+the commit before the serializer streamed its rows from the successor
+table.  Regenerate them only for a deliberate change of numbering.
 """
 
 import hashlib
@@ -76,6 +79,8 @@ CASES = {
     "sdi_nfa_direct_require": lambda: sdi_nfa_direct(_rand(23, 5), _rand(24, 4), True),
     "asdi_nfa_direct": lambda: asdi_nfa_direct(_rand(25, 5), _rand(26, 4)),
     "asdi_nfa_direct_require": lambda: asdi_nfa_direct(_rand(25, 5), _rand(26, 4), True),
+    # the size of a 30-state `op --variant sdi --out` request: 2,760 states
+    "sdi_nfa_direct_r30": lambda: sdi_nfa_direct(_rand(40, 30, 0.15), _rand(41, 30, 0.15)),
     "max_sdi_single": lambda: max_sdi_single_nfa(_rand(27, 4, 0.35), "abaab"),
     "min_sdi_single": lambda: min_sdi_single_nfa(_rand(28, 4, 0.35), "abaab"),
     "regular_max_sdi_finite": lambda: regular_max_sdi_finite(
@@ -109,6 +114,7 @@ GOLDEN = {
     "sdi_nfa_direct_require": "12d9752ef8a3c17dcead145d976446d69192a716eb4d3880069e2ca3e4a10266",
     "asdi_nfa_direct": "aff165d553995d8db4ae5dc5b7a20b1ccfafdbb6003945dea11322c8937489d9",
     "asdi_nfa_direct_require": "d3faa9b186898e3387a9975c9cf24ade4e9fcdbad5b4a6787747da571dd19de3",
+    "sdi_nfa_direct_r30": "249d7a454e1a59a6145acbd5d0a677a4ef7ad98a915d3640c21855ac2d98765d",
     "max_sdi_single": "c18eeb63d1c9a2852e26fdc93047c0150e19e6566e3a437c558907e1dbc391a9",
     "min_sdi_single": "73e503a6f49aa1dd37320152541cd56c9ab022864aa5b189e61aa20f41a32dfe",
     "regular_max_sdi_finite": "192da63dad1e0d9dacf2a7bada99b1ef2ff61e3250f02d326a1e709e6b032c4f",

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from sdikit import Dfa, Nfa, canonicalize, equivalent
+from sdikit import Dfa, InputError, Nfa, canonicalize, equivalent
 from sdikit.complexity import random_nfa
 from sdikit.textio import (
     FormatError,
@@ -25,6 +26,11 @@ final: 2
 0 b -> 1
 1 a -> 2
 """
+
+
+_HEADER = "alphabet: a b\nstates: 100\ninitial: 0\nfinal: 0\n"
+_MANY = frozenset((q, sym, (7 * q + k) % 100) for q in range(100) for sym in "ab" for k in (1, 2))
+_MANY_LINES = "\n".join(f"{src} {sym} -> {dst}" for src, sym, dst in sorted(_MANY))
 
 
 def test_parse_sample():
@@ -97,9 +103,29 @@ def test_serializer_matches_sorted_triples():
         seen["no finals"] += not a.finals
         seen["dfa"] += isinstance(a, Dfa)
         seen["over 64"] += a.state_count > 64
-        assert isinstance(canonicalize(a), Dfa) == isinstance(a, Dfa)
-        assert serialize_automaton(a) == _sorted_triples_text(a)
+        c = canonicalize(a)
+        assert isinstance(c, Dfa) == isinstance(a, Dfa)
+        text = serialize_automaton(a)
+        assert text == _sorted_triples_text(a)
+        # the serializer and canonicalize share one renumbering
+        assert _fields(parse_automaton(text)) == _fields(c)
+        assert canonicalize(c) == c
     assert min(seen.values()) >= 20, seen
+
+
+def _fields(a):
+    return a.alphabet, a.state_count, a.initial, a.finals, a.transitions
+
+
+def test_serializer_builds_no_automaton(monkeypatch):
+    rng = random.Random(47)
+    automata = [wide_random_nfa(rng) for _ in range(10)]
+    automata.append(Dfa(AB, 2, 1, frozenset({0}), frozenset({(1, "a", 0), (0, "b", 0)})))
+    built = []
+    monkeypatch.setattr(Nfa, "__post_init__", lambda self: built.append(self))
+    for a in automata:
+        serialize_automaton(a)
+    assert built == []
 
 
 def test_empty_finals_round_trip():
@@ -119,11 +145,46 @@ def test_empty_finals_round_trip():
         "alphabet: a b\nstates: 1\ninitial: 0\nfinal: 9\n",  # final out of range
         "alphabet: a b\nalphabet: a\nstates: 1\ninitial: 0\nfinal: 0\n",  # dup header
         "alphabet: a >\nstates: 1\ninitial: 0\nfinal: 0\n",  # reserved symbol
+        pytest.param(_HEADER + "-1 a -> 0", id="negative source"),
+        pytest.param(_HEADER + "0 a -> -4", id="negative target"),
+        pytest.param(_HEADER + "0 ab -> 1", id="multi-character symbol"),
+        pytest.param(_HEADER + _MANY_LINES + "\n7 b -> 100", id="one bad triple among 400"),
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(FormatError):
         parse_automaton(bad)
+
+
+# every check of Nfa(...) and Dfa(...) keeps its message, also when the
+# parser raises it
+@pytest.mark.parametrize(
+    "trans, message",
+    [
+        ({(-1, "a", 0)}, "transition (-1, 'a', 0) out of range"),
+        ({(0, "b", -4)}, "transition (0, 'b', -4) out of range"),
+        ({(0, "ab", 1)}, "transition symbol 'ab' not in alphabet"),
+        (_MANY | {(7, "b", 100)}, "transition (7, 'b', 100) out of range"),
+        (_MANY | {(7, "c", 1)}, "transition symbol 'c' not in alphabet"),
+    ],
+    ids=["negative source", "negative target", "multi-character symbol", "bad id among 400", "bad symbol among 400"],
+)
+def test_construction_errors_keep_their_messages(trans, message):
+    for cls in (Nfa, Dfa):
+        with pytest.raises(InputError, match=re.escape(message)):
+            cls(AB, 100, 0, frozenset(), frozenset(trans))
+    text = _HEADER + "\n".join(f"{src} {sym} -> {dst}" for src, sym, dst in sorted(trans))
+    with pytest.raises(FormatError, match=re.escape(message)):
+        parse_automaton(text)
+
+
+def test_nondeterministic_dfa_keeps_its_message():
+    deterministic = frozenset((q, sym, (3 * q + "ab".index(sym)) % 100) for q in range(100) for sym in "ab")
+    Dfa(AB, 100, 0, frozenset(), deterministic)
+    with pytest.raises(InputError, match=re.escape("nondeterministic on (42, 'a')")):
+        Dfa(AB, 100, 0, frozenset(), deterministic | {(42, "a", 99)})
+    with pytest.raises(InputError, match=re.escape("nondeterministic on (0, 'a')")):
+        Dfa(AB, 2, 0, frozenset({1}), frozenset({(0, "a", 0), (0, "a", 1)}))
 
 
 def test_parse_dfa_flags_nondeterminism():

@@ -2,26 +2,25 @@
 
 States are dense integer ids 0..state_count-1 with a single initial state
 and no epsilon transitions.  All values are immutable after construction;
-every operation is a pure function of its inputs.  Every reachable-state
-construction numbers its states through `_explore`: the start state is 0
-and each new state takes the next id when it is first reached from a
-LIFO worklist; each is capped at `DEFAULT_STATE_CAP` states by default.
-Every subset walk (membership, subset construction, enumeration, the
-shortest word, the inclusion/equivalence search and the canonical
-renumbering) steps sets of states held as int bitsets over one
-per-symbol successor table cached on the automaton (`Nfa._masks`);
-enumeration steps each distinct subset once.  The canonical renumbering
-is one routine, `_canonical_rows`, behind both `canonicalize` and
-`textio.serialize_automaton`.  `shortest_word` is the one
-emptiness search and steps each state once.  Freeness, independence,
-solution verification and the SDI closure check step the SDI
-construction (and its product with an automaton, `_meet_parts`) on
-demand (`_OnDemand`) and build only the states their search reaches.
+every operation is a pure function of its inputs.  One routine,
+`_OnDemand._number`, numbers every reachable-state construction: the
+start state is 0, each new state takes the next id (and its finality)
+when first reached, at most `DEFAULT_STATE_CAP` by default.  `_explore`
+runs it eagerly from a LIFO worklist, `_OnDemand` as far as a subset
+walk steps it.  Walks over one state's successors (the constructions,
+the canonical renumbering `_canonical_rows`, the determinism check) read
+`Nfa._delta`; subset walks (membership, subset construction,
+enumeration, the shortest word, the inclusion/equivalence search) step
+int bitsets over the per-symbol successor table `Nfa._masks`.
+`shortest_word` is the one emptiness search and steps each state once.
+Freeness, independence, solution verification and the SDI closure check
+step the SDI construction (and its product with an automaton,
+`_meet_parts`) on demand and build only the states their search reaches.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -198,11 +197,9 @@ class Dfa(Nfa):
 
     def __post_init__(self):
         super().__post_init__()
-        seen: set[tuple[int, str]] = set()
-        for src, sym, _ in self.transitions:
-            if (src, sym) in seen:
-                raise InputError(f"nondeterministic on ({src}, {sym!r})")
-            seen.add((src, sym))
+        if not is_deterministic(self):
+            src, sym = next(key for key, dsts in self._delta.items() if len(dsts) > 1)
+            raise InputError(f"nondeterministic on ({src}, {sym!r})")
 
     def successor(self, state: int, sym: str) -> int | None:
         dsts = self.successors(state, sym)
@@ -210,12 +207,7 @@ class Dfa(Nfa):
 
 
 def is_deterministic(a: Nfa) -> bool:
-    seen: set[tuple[int, str]] = set()
-    for src, sym, _ in a.transitions:
-        if (src, sym) in seen:
-            return False
-        seen.add((src, sym))
-    return True
+    return len(a._delta) == len(a.transitions)
 
 
 def as_dfa(a: Nfa) -> Dfa:
@@ -239,49 +231,44 @@ def _explore(
     is_final: Callable[[Hashable], bool],
     cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[int, set[int], set[tuple[int, str | None, int]]]:
-    """Number the keys reachable from `start` and collect their moves.
+    """Number the keys reachable from `start` and collect their moves:
+    the eager run of `_OnDemand`'s numbering, from a LIFO worklist.
 
     `expand(key)` yields the (symbol, key) moves out of a key; a None
-    symbol is an internal epsilon move.  The worklist is LIFO and a key
-    gets the next id the first time a move reaches it, `start` being 0;
-    serialized output depends on this order.  Returns (state_count,
-    finals, transitions) over ids.  Every id is reachable from 0, so the
-    language is empty exactly when `finals` is.  Raises
-    ResourceLimitError when more than `cap` keys are reached.
+    symbol is an internal epsilon move.  Serialized output depends on
+    the worklist order.  Returns (state_count, finals, transitions) over
+    ids.  Every id is reachable from 0, so the language is empty exactly
+    when `finals` is.  Raises ResourceLimitError when more than `cap`
+    keys are reached.
     """
-    ids = {start: 0}
-    queue = [start]
-    finals: set[int] = set()
+    run = _OnDemand((), start, expand, is_final, cap)  # no alphabet: no mask rows
+    ids, keys, number = run._ids, run._keys, run._number
+    stack = [0]
     trans: set[tuple[int, str | None, int]] = set()
-    while queue:
-        key = queue.pop()
-        sid = ids[key]
-        if is_final(key):
-            finals.add(sid)
-        for sym, nxt in expand(key):
+    while stack:
+        sid = stack.pop()
+        for sym, nxt in expand(keys[sid]):
             nid = ids.get(nxt)
             if nid is None:
-                if len(ids) >= cap:
-                    raise ResourceLimitError(f"exploration exceeded {cap} states", {"cap": cap})
-                nid = ids[nxt] = len(ids)
-                queue.append(nxt)
+                nid = number(nxt)
+                stack.append(nid)
             trans.add((sid, sym, nid))
-    return len(ids), finals, trans
+    return len(keys), set(run._finals), trans
 
 
 class _OnDemand:
-    """The construction that `_explore(start, expand, is_final)` would
-    build, built only as far as a subset walk steps it.
+    """The construction that `_explore(start, expand, is_final)` builds,
+    built only as far as a subset walk steps it.
 
-    A key gets the next id the first time a move reaches it, `start`
-    being 0, and its final bit is set then; its moves are computed the
-    first time a subset containing it is stepped, so ids follow the
-    walk, not `_explore`'s worklist.  Offers what `_subset_witness` and
-    `shortest_word` read of an `Nfa`: `alphabet`, `initial`,
-    `state_count` (the keys numbered so far), `_step` and `_final_bits`
-    (which grows as `_step` numbers keys).  Moves carry symbols,
-    never None.  Raises ResourceLimitError when more than `cap` keys are
-    numbered.
+    `_number` is the one id rule: a key gets the next id, and its
+    finality is decided, the first time a move reaches it, `start` being
+    0.  Here a key's moves are computed the first time a subset holding
+    it is stepped, so ids follow the walk, not `_explore`'s worklist.
+    Offers what `_subset_witness` and `shortest_word` read of an `Nfa`:
+    `alphabet`, `initial`, `state_count` (the keys numbered so far),
+    `_step` and `_final_bits` (which grows as `_step` numbers keys).
+    Moves carry symbols, never None.  Raises ResourceLimitError when
+    more than `cap` keys are numbered.
     """
 
     initial = 0
@@ -298,35 +285,41 @@ class _OnDemand:
         self._expand, self._is_final, self._cap = expand, is_final, cap
         self._ids: dict[Hashable, int] = {}
         self._keys: list[Hashable] = []
-        self._masks: dict[str, list[int]] = {sym: [] for sym in alphabet}
-        self._final_bits = 0
+        self._finals: list[int] = []
+        # rows by state id: `_step_all` reads only stepped states, a missing entry as 0
+        self._masks: dict[str, defaultdict[int, int]] = {sym: defaultdict(int) for sym in alphabet}
         self._expanded = 0
         self._number(start)
+        self._final_bits = _mask(self._finals)
 
     @property
     def state_count(self) -> int:
         return len(self._keys)
 
     def _number(self, key: Hashable) -> int:
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self._keys)
-            if sid >= self._cap:
-                raise ResourceLimitError(f"exploration exceeded {self._cap} states", {"cap": self._cap})
-            self._ids[key] = sid
-            self._keys.append(key)
-            for row in self._masks.values():
-                row.append(0)
-            if self._is_final(key):
-                self._final_bits |= 1 << sid
+        """Give `key`, which has no id yet, the next one."""
+        sid = len(self._keys)
+        if sid >= self._cap:
+            raise ResourceLimitError(f"exploration exceeded {self._cap} states", {"cap": self._cap})
+        self._ids[key] = sid
+        self._keys.append(key)
+        if self._is_final(key):
+            self._finals.append(sid)
         return sid
 
     def _step(self, subset: int) -> list[int]:
         """The successor bitset of `subset` on every symbol, in alphabet order."""
-        for q in _bits(subset & ~self._expanded):
-            for sym, nxt in self._expand(self._keys[q]):
-                self._masks[sym][q] |= 1 << self._number(nxt)
-            self._expanded |= 1 << q
+        fresh = subset & ~self._expanded
+        if fresh:
+            ids, masks, known = self._ids, self._masks, len(self._finals)
+            for q in _bits(fresh):
+                for sym, nxt in self._expand(self._keys[q]):
+                    nid = ids.get(nxt)
+                    if nid is None:
+                        nid = self._number(nxt)
+                    masks[sym][q] |= 1 << nid
+            self._expanded |= fresh
+            self._final_bits |= _mask(self._finals[known:])
         return _step_all(subset, self._masks)
 
 
@@ -378,7 +371,7 @@ def membership(a: Nfa, word: Word) -> bool:
             states = row[states.bit_length() - 1]
         if not states:
             return False
-    return any(q in a.finals for q in _bits(states))
+    return bool(states & a._final_bits)
 
 
 def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -518,34 +511,29 @@ def _canonical_rows(a: Nfa) -> tuple[int, list[int], list[tuple[int, str, list[i
 
     Reachable states are numbered breadth-first from the initial state,
     which becomes 0; the successors of a state are met by symbol, in
-    alphabet order, then by their id in `a`, read off `a._masks`.
+    alphabet order, then by their id in `a`, read off `a._delta`.
     Returns the reachable state count, the new ids of the reachable
     finals in ascending order, and every nonempty row (source, symbol,
     targets) by source, then symbol, with the targets in ascending new
     id: the transitions in canonical text order.
     """
-    masks = a._masks
+    delta, symbols = a._delta, a.alphabet.symbols
     new = [-1] * a.state_count
     new[a.initial] = 0
     order = [a.initial]
     rows: list[tuple[int, str, list[int]]] = []
     for src, q in enumerate(order):  # grows while it is walked: a FIFO queue
-        for sym, row in masks.items():
-            succ = row[q]
-            if not succ:
-                continue
+        for sym in symbols:
             targets = []
-            while succ:  # `_bits`, inlined: this loop sees every transition
-                low = succ & -succ
-                dst = low.bit_length() - 1
+            for dst in delta.get((q, sym), ()):
                 nid = new[dst]
                 if nid < 0:
                     nid = new[dst] = len(order)
                     order.append(dst)
                 targets.append(nid)
-                succ ^= low
-            targets.sort()
-            rows.append((src, sym, targets))
+            if targets:
+                targets.sort()
+                rows.append((src, sym, targets))
     finals = sorted(new[q] for q in a.finals if new[q] >= 0)
     return len(order), finals, rows
 

@@ -18,7 +18,6 @@ from .automata import (
     enumerate_language,
     is_finite_language,
     membership,
-    trim,
 )
 from .constructions import (
     bounded_insertion_words,
@@ -65,23 +64,29 @@ def _variant(name: str) -> SdiVariant:
     return _VARIANTS[name]
 
 
-def _load_operand(path: str, as_words: bool) -> tuple[Nfa | None, list[str] | None]:
-    if as_words:
-        return None, load_words(path)
-    return load_automaton(path), None
-
-
-def _operand_automaton(auto: Nfa | None, words: list[str] | None, alphabet) -> Nfa:
-    if auto is not None:
-        return auto
-    return Nfa.from_words(words or [], alphabet)
-
-
-def _alphabet_of(*operands) -> object:
-    for auto, _ in operands:
-        if auto is not None:
-            return auto.alphabet
-    raise _UsageError("at least one operand must be an automaton file")
+def _operands(args, tries: bool = True) -> list[Nfa | list[str]]:
+    """The two operands of `op` or `member`, loaded in order: automaton
+    files, or word-list files under --left-words/--right-words (`--words
+    FILE` is a right word-list operand).  At least one must be an
+    automaton; with `tries`, a word list comes back as its trie over
+    that automaton's alphabet."""
+    right, right_words = args.right, args.right_words
+    if getattr(args, "words", None) is not None:  # `member` has no --words
+        if right is not None:
+            raise _UsageError("--words replaces the second positional operand")
+        right, right_words = args.words, True
+    if right is None:
+        raise _UsageError("two operands required")
+    operands = [
+        load_words(path) if as_words else load_automaton(path)
+        for path, as_words in ((args.left, args.left_words), (right, right_words))
+    ]
+    alphabet = next((x.alphabet for x in operands if isinstance(x, Nfa)), None)
+    if alphabet is None:
+        raise _UsageError("at least one operand must be an automaton file")
+    if tries:
+        operands = [x if isinstance(x, Nfa) else Nfa.from_words(x, alphabet) for x in operands]
+    return operands
 
 
 def _bound(text: str) -> int:
@@ -109,44 +114,21 @@ def _cmd_op(args) -> int:
     if args.variant in ("shuffle", "deletion"):
         if args.trajectory is None:
             raise _UsageError(f"--variant {args.variant} needs --trajectory (name or file)")
-        if args.right is None:
-            raise _UsageError("two operands required")
-        left = _load_operand(args.left, args.left_words)
-        right = _load_operand(args.right, args.right_words)
-        alphabet = _alphabet_of(left, right)
-        a = _operand_automaton(*left, alphabet)
-        b = _operand_automaton(*right, alphabet)
+        a, b = _operands(args)
         if args.variant == "shuffle":
-            traj = _load_trajectory(args.trajectory, TrajectoryKind.SHUFFLE)
-            result = shuffle_nfa(a, b, traj)
+            result = shuffle_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.SHUFFLE))
         else:
-            traj = _load_trajectory(args.trajectory, TrajectoryKind.DELETION)
-            result = deletion_nfa(a, b, traj)
+            result = deletion_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.DELETION))
         return _emit_result(args, result)
 
     variant = _variant(args.variant)
-    right_path = args.right
-    right_words_flag = args.right_words
-    if args.words is not None:
-        if right_path is not None:
-            raise _UsageError("--words replaces the second positional operand")
-        right_path, right_words_flag = args.words, True
-    if right_path is None:
-        raise _UsageError("two operands required")
-    left = _load_operand(args.left, args.left_words)
-    right = _load_operand(right_path, right_words_flag)
-    alphabet = _alphabet_of(left, right)
-
     if variant in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
-        a = _operand_automaton(*left, alphabet)
-        b = _operand_automaton(*right, alphabet)
-        result = insertion_nfa(variant, a, b)
-    elif right[1] is not None:
-        a = _operand_automaton(*left, alphabet)
-        result = regular_max_sdi_finite(a, right[1], variant)
-    elif left[1] is not None:
-        b = _operand_automaton(*right, alphabet)
-        result = finite_into_regular(variant, left[1], b)
+        return _emit_result(args, insertion_nfa(variant, *_operands(args)))
+    left, right = _operands(args, tries=False)
+    if isinstance(right, list):
+        result = regular_max_sdi_finite(left, right, variant)
+    elif isinstance(left, list):
+        result = finite_into_regular(variant, left, right)
     else:
         # two automata under max/min: not regularity preserving
         if args.out:
@@ -155,7 +137,7 @@ def _cmd_op(args) -> int:
             )
         if args.max_len is None:
             raise _UsageError(f"{variant.value} of two automata needs --max-len")
-        words = bounded_insertion_words(variant, left[0], right[0], args.max_len)
+        words = bounded_insertion_words(variant, left, right, args.max_len)
         sys.stdout.write(serialize_words(list(words)))
         return EXIT_TRUE
     return _emit_result(args, result)
@@ -168,9 +150,8 @@ def _emit_result(args, result: Nfa) -> int:
     if args.max_len is not None:
         sys.stdout.write(serialize_words(enumerate_language(result, args.max_len)))
         return EXIT_TRUE
-    trimmed = trim(result)
-    if is_finite_language(trimmed):
-        sys.stdout.write(serialize_words(enumerate_language(trimmed, trimmed.state_count)))
+    if is_finite_language(result):  # then every word is shorter than the state count
+        sys.stdout.write(serialize_words(enumerate_language(result, result.state_count)))
         return EXIT_TRUE
     raise _UsageError("result language is infinite; pass --max-len N or --out FILE")
 
@@ -178,11 +159,7 @@ def _emit_result(args, result: Nfa) -> int:
 def _cmd_member(args) -> int:
     variant = _variant(args.variant)
     word = parse_word(args.word)
-    left = _load_operand(args.left, args.left_words)
-    right = _load_operand(args.right, args.right_words)
-    alphabet = _alphabet_of(left, right)
-    a = _operand_automaton(*left, alphabet)
-    b = _operand_automaton(*right, alphabet)
+    a, b = _operands(args)
     if variant is SdiVariant.MAXIMAL:
         answer = max_sdi_membership(word, a, b)
     elif variant is SdiVariant.MINIMAL:

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .automata import Alphabet, InputError, Nfa, Word, enumerate_language, membership
-from .constructions import asdi_nfa_direct, sdi_nfa_direct
+from .constructions import insertion_nfa
+from .oracle import SdiVariant
 
 
 @dataclass(frozen=True)
@@ -133,11 +134,6 @@ _BOUNDS = {
     "asdi": lambda m, n: m * n + 2 * m,
 }
 
-_BUILDERS = {
-    "sdi": sdi_nfa_direct,
-    "asdi": asdi_nfa_direct,
-}
-
 
 def random_nfa(
     rng: random.Random,
@@ -173,19 +169,19 @@ def size_audit(
     The recorded `actual` is the reachable construction size with no
     dead-state removal, so the bound check is not vacuous.
     """
-    if construction not in _BUILDERS:
+    if construction not in _BOUNDS:
         raise InputError(f"unknown construction {construction!r}; known: sdi, asdi")
     if m_range[0] < 1 or n_range[0] < 1 or m_range[1] < m_range[0] or n_range[1] < n_range[0]:
         raise InputError("state ranges must be nonempty and positive")
     alphabet = alphabet or Alphabet.from_string("ab")
     rng = random.Random(seed)
-    build, bound_of = _BUILDERS[construction], _BOUNDS[construction]
+    variant, bound_of = SdiVariant(construction), _BOUNDS[construction]
     audits: list[SizeAudit] = []
     for m in range(m_range[0], m_range[1] + 1):
         for n in range(n_range[0], n_range[1] + 1):
             for _ in range(samples):
                 left = random_nfa(rng, m, alphabet)
                 right = random_nfa(rng, n, alphabet)
-                built = build(left, right)
+                built = insertion_nfa(variant, left, right)
                 audits.append(SizeAudit(construction, m, n, bound_of(m, n), built.state_count))
     return audits

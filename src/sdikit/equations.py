@@ -27,7 +27,7 @@ from .automata import (
 )
 from .constructions import _asdi_parts, _sdi_parts
 from .oracle import SdiVariant
-from .trajectories import deletion_nfa, named_trajectory, reversed_deletion
+from .trajectories import deletion_nfa, named_trajectory
 
 
 class UnknownSide(Enum):
@@ -77,12 +77,7 @@ def candidate(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     trajectories for the unknown side."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
     result_bar = complement(determinize(spec.result, cap))
-    if spec.side is UnknownSide.LEFT:
-        deleted = deletion_nfa(result_bar, spec.known, traj)
-    else:
-        # known (rev-delete) result_bar unfolds to deleting known from result_bar
-        deleted = reversed_deletion(spec.known, result_bar, traj)
-    return complement(determinize(deleted, cap))
+    return complement(determinize(deletion_nfa(result_bar, spec.known, traj), cap))
 
 
 def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:

@@ -119,10 +119,6 @@ _VARIANT_OPS = {
 }
 
 
-def insertion_strings(variant: SdiVariant, x: Word, y: Word) -> set[Word]:
-    return _VARIANT_OPS[variant](x, y)
-
-
 def bounded_language_op(
     variant: SdiVariant, lang1: Iterable[Word], lang2: Iterable[Word]
 ) -> set[Word]:

@@ -14,7 +14,8 @@ Written automata are canonical (`serialize_automaton`): the reachable
 states renumbered breadth-first from the initial state, which becomes
 0, and the transitions by source, symbol and target, so equal inputs
 give equal bytes.  The text is streamed row by row from the automaton's
-successor table through the renumbering `automata.canonicalize` uses.
+per-state successor index (`Nfa._delta`, the sorted targets of each
+state and symbol) through the renumbering `automata.canonicalize` uses.
 
 Word lists hold one word per line; the empty word is written `-`
 (that character can never be an alphabet symbol).
@@ -99,9 +100,9 @@ def serialize_automaton(a: Nfa) -> str:
     """Canonical text: the states of `canonicalize(a)` (BFS order from
     the initial state), transitions by source, symbol (in alphabet order)
     and target.  Deterministic.  Each (source, symbol) row is written as
-    the renumbering shared with `canonicalize` reads it off the successor
-    table, so no renumbered automaton is built and nothing is sorted but
-    the targets of one row."""
+    the renumbering shared with `canonicalize` reads it off the per-state
+    successor index, so no renumbered automaton is built and nothing is
+    sorted but the targets of one row."""
     count, finals, rows = _canonical_rows(a)
     lines = [
         "alphabet: " + " ".join(a.alphabet),

@@ -299,3 +299,18 @@ def test_op_deletion_with_trajectory_file(files, capsys, tmp_path):
                "--trajectory", "T_sdi", "--max-len", "4"])
     assert rc == 2  # shuffle-kind name for a deletion op
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("variant,trajectory", [("shuffle", "T_sdi"), ("deletion", "T1")])
+def test_op_trajectory_variants_read_words(files, capsys, variant, trajectory):
+    words = files["tmp"] + "/y.txt"
+    with open(words, "w") as handle:
+        handle.write("ab\nb\n")
+    common = ["op", "--variant", variant, "--trajectory", trajectory, "--max-len", "6"]
+    assert main(common + [files["r.nfa"], words, "--right-words"]) == 0
+    expected = capsys.readouterr().out
+    assert expected.strip()
+    assert main(common + [files["r.nfa"], "--words", words]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(common + [files["r.nfa"], files["pair.nfa"], "--words", words]) == 2
+    assert "--words replaces the second positional operand" in capsys.readouterr().err

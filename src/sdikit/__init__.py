@@ -16,8 +16,6 @@ from .automata import (
     Word,
     canonicalize,
     complement,
-    complement_nfa,
-    complete,
     determinize,
     enumerate_language,
     equivalence_witness,

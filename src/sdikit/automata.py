@@ -12,6 +12,10 @@ the canonical renumbering `_canonical_rows`, the determinism check) read
 `Nfa._delta`; subset walks (membership, subset construction,
 enumeration, the shortest word, the inclusion/equivalence search) step
 int bitsets over the per-symbol successor table `Nfa._masks`.
+`determinize` and `complement` are one subset construction,
+`_subset_dfa`: `complement` takes any NFA, keeps only the reachable
+subsets, the empty one as the sink of the total DFA, and counts the
+sink against `cap`.
 `shortest_word` is the one emptiness search and steps each state once.
 Freeness, independence, solution verification and the SDI closure check
 step the SDI construction (and its product with an automaton,
@@ -201,10 +205,6 @@ class Dfa(Nfa):
             src, sym = next(key for key, dsts in self._delta.items() if len(dsts) > 1)
             raise InputError(f"nondeterministic on ({src}, {sym!r})")
 
-    def successor(self, state: int, sym: str) -> int | None:
-        dsts = self.successors(state, sym)
-        return dsts[0] if dsts else None
-
 
 def is_deterministic(a: Nfa) -> bool:
     return len(a._delta) == len(a.transitions)
@@ -374,47 +374,44 @@ def membership(a: Nfa, word: Word) -> bool:
     return bool(states & a._final_bits)
 
 
-def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    """Subset construction, reachable subsets only.
+def _subset_dfa(a: Nfa, flip: bool, cap: int) -> Dfa:
+    """Subset construction over the reachable subsets of `a`.  With
+    `flip`, the empty subset is kept as the sink, so the DFA is total,
+    and finality is inverted: the complement of L(a).
 
-    Raises ResourceLimitError when more than `cap` subset states appear.
+    Raises ResourceLimitError when more than `cap` subsets appear.
     """
     symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
 
     def expand(subset: int) -> Iterator[tuple[str, int]]:
         for sym, nxt in zip(symbols, _step_all(subset, masks)):
-            if nxt:
+            if nxt or flip:
                 yield sym, nxt
 
-    count, final_ids, trans = _explore(1 << a.initial, expand, lambda subset: bool(subset & finals), cap)
+    count, final_ids, trans = _explore(
+        1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, cap
+    )
     return Dfa(a.alphabet, count, 0, final_ids, trans)
 
 
-def complete(d: Dfa) -> Dfa:
-    """Total version of a partial DFA; adds a sink state when needed."""
-    missing = [
-        (q, sym)
-        for q in range(d.state_count)
-        for sym in d.alphabet
-        if d.successor(q, sym) is None
-    ]
-    if not missing:
-        return d
-    sink = d.state_count
-    trans = set(d.transitions)
-    trans.update((q, sym, sink) for q, sym in missing)
-    trans.update((sink, sym, sink) for sym in d.alphabet)
-    return Dfa(d.alphabet, d.state_count + 1, d.initial, d.finals, frozenset(trans))
+def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """Subset construction, reachable nonempty subsets only: a possibly
+    partial DFA.
+
+    Raises ResourceLimitError when more than `cap` subset states appear.
+    """
+    return _subset_dfa(a, False, cap)
 
 
-def complement(d: Dfa) -> Dfa:
-    c = complete(d)
-    finals = frozenset(range(c.state_count)) - c.finals
-    return Dfa(c.alphabet, c.state_count, c.initial, finals, c.transitions)
+def complement(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+    """Total DFA for Σ* − L(a), for any NFA `a`: the reachable subsets of
+    `a`, the empty one (the sink) included when some move reaches it,
+    with finality inverted.
 
-
-def complement_nfa(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
-    return complement(determinize(a, cap))
+    Raises ResourceLimitError when more than `cap` subsets, the sink
+    counted, appear.
+    """
+    return _subset_dfa(a, True, cap)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -699,30 +696,20 @@ def shortest_word(a: Nfa | _OnDemand) -> Word | None:
 
 
 def is_finite_language(a: Nfa) -> bool:
-    """True iff L(a) is finite: the trimmed automaton is acyclic."""
+    """True iff L(a) is finite: the trimmed automaton is acyclic, that is
+    Kahn's peel of the states with no incoming edge left removes them all."""
     t = trim(a)
-    adj: dict[int, set[int]] = {}
-    for src, _, dst in t.transitions:
-        adj.setdefault(src, set()).add(dst)
-    color = {}  # 0 in-progress, 1 done
-    stack: list[tuple[int, Iterator[int]]] = []
-    for root in range(t.state_count):
-        if root in color:
-            continue
-        color[root] = 0
-        stack.append((root, iter(adj.get(root, ()))))
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in color:
-                    color[nxt] = 0
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-                if color[nxt] == 0:
-                    return False
-            if not advanced:
-                color[node] = 1
-                stack.pop()
-    return True
+    succ: dict[int, list[int]] = defaultdict(list)
+    indegree = [0] * t.state_count
+    for src, _, dst in t.transitions:  # parallel edges are counted and peeled alike
+        succ[src].append(dst)
+        indegree[dst] += 1
+    ready = [q for q, d in enumerate(indegree) if d == 0]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for dst in succ[ready.pop()]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
+    return peeled == t.state_count

@@ -53,15 +53,9 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_VARIANTS = {v.value: v for v in SdiVariant}
-
 
 class _UsageError(InputError):
     pass
-
-
-def _variant(name: str) -> SdiVariant:
-    return _VARIANTS[name]
 
 
 def _operands(args, tries: bool = True) -> list[Nfa | list[str]]:
@@ -121,7 +115,7 @@ def _cmd_op(args) -> int:
             result = deletion_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.DELETION))
         return _emit_result(args, result)
 
-    variant = _variant(args.variant)
+    variant = SdiVariant(args.variant)
     if variant in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
         return _emit_result(args, insertion_nfa(variant, *_operands(args)))
     left, right = _operands(args, tries=False)
@@ -157,7 +151,7 @@ def _emit_result(args, result: Nfa) -> int:
 
 
 def _cmd_member(args) -> int:
-    variant = _variant(args.variant)
+    variant = SdiVariant(args.variant)
     word = parse_word(args.word)
     a, b = _operands(args)
     if variant is SdiVariant.MAXIMAL:
@@ -245,7 +239,7 @@ def _cmd_decide(args) -> int:
 def _cmd_solve(args) -> int:
     spec = EquationSpec(
         UnknownSide(args.side),
-        _variant(args.variant),
+        SdiVariant(args.variant),
         load_automaton(args.known),
         load_automaton(args.result),
     )
@@ -334,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_op = sub.add_parser("op", help="apply a language operation to two operands")
     p_op.add_argument("--variant", required=True,
-                      choices=sorted(_VARIANTS) + ["shuffle", "deletion"])
+                      choices=sorted(v.value for v in SdiVariant) + ["shuffle", "deletion"])
     p_op.add_argument("left", help="automaton file (or word list with --left-words)")
     p_op.add_argument("right", nargs="?", help="automaton file (or word list with --right-words)")
     p_op.add_argument("--left-words", action="store_true", help="left operand is a word-list file")
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_op.set_defaults(func=_cmd_op)
 
     p_member = sub.add_parser("member", help="decide membership in an operation result")
-    p_member.add_argument("--variant", required=True, choices=sorted(_VARIANTS))
+    p_member.add_argument("--variant", required=True, choices=sorted(v.value for v in SdiVariant))
     p_member.add_argument("word", help=f"query word ({EPSILON_TOKEN!r} for the empty word)")
     p_member.add_argument("left")
     p_member.add_argument("right")

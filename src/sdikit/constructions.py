@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .automata import Alphabet, InputError, Nfa, Word, _explore, membership, trim, union_all
-from .automata import complement_nfa, enumerate_language, product_intersection, DEFAULT_STATE_CAP
+from .automata import complement, enumerate_language, product_intersection, DEFAULT_STATE_CAP
 from .oracle import SdiVariant, unbordered
 
 
@@ -366,21 +366,19 @@ def finite_into_regular(
                 for m in range(1, len(x) - p - i + 1):
                     x1, u = x[:p], x[p : p + i]
                     v, x2 = x[p + i : p + i + m], x[p + i + m :]
-                    if variant is SdiVariant.MINIMAL:
-                        if not (unbordered(u) and unbordered(v)):
-                            continue
-                        allowed = product_intersection(a, _infix_nfa(u, v, alphabet))
-                    else:
+                    if variant is SdiVariant.MINIMAL and not (unbordered(u) and unbordered(v)):
+                        continue
+                    allowed = product_intersection(a, _infix_nfa(u, v, alphabet))
+                    if variant is SdiVariant.MAXIMAL:
                         extended = [
                             _infix_nfa(x1[len(x1) - lp :] + u, v + x2[:lq], alphabet)
                             for lp in range(len(x1) + 1)
                             for lq in range(len(x2) + 1)
                             if lp or lq
                         ]
-                        allowed = product_intersection(a, _infix_nfa(u, v, alphabet))
                         if extended:
                             blocked = union_all(extended, alphabet)
-                            allowed = product_intersection(allowed, complement_nfa(blocked, cap))
+                            allowed = product_intersection(allowed, complement(blocked, cap))
                     part = trim(_concat_fixed(x1, allowed, x2))
                     if part.finals:
                         parts.append(part)

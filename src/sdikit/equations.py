@@ -22,7 +22,6 @@ from .automata import (
     ResourceLimitError,
     _OnDemand,
     complement,
-    determinize,
     equivalent,
 )
 from .constructions import _asdi_parts, _sdi_parts
@@ -76,8 +75,7 @@ def candidate(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> Dfa:
     operand from the complement of the result along the inverse
     trajectories for the unknown side."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
-    result_bar = complement(determinize(spec.result, cap))
-    return complement(determinize(deletion_nfa(result_bar, spec.known, traj), cap))
+    return complement(deletion_nfa(complement(spec.result, cap), spec.known, traj), cap)
 
 
 def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:

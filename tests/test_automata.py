@@ -9,7 +9,6 @@ from sdikit import (
     Nfa,
     ResourceLimitError,
     complement,
-    complement_nfa,
     determinize,
     enumerate_language,
     equivalence_witness,
@@ -104,6 +103,34 @@ def test_complement_examples():
     assert got == expected
 
 
+def test_complement_builds_one_automaton(monkeypatch):
+    a = random_nfa(random.Random(5), 6, AB, density=0.15)
+    assert determinize(a).state_count < complement(a).state_count  # the sink is there
+    built = []
+    post_init = Nfa.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Nfa, "__post_init__", counting_post_init)
+    comp = complement(a)
+    assert len(built) == 1 and built[0] is comp
+
+
+def test_complement_cap_boundary():
+    k = 6
+    with pytest.raises(ResourceLimitError, match="exploration exceeded"):
+        complement(blowup(k), cap=2 ** (k + 1) - 1)
+    assert complement(blowup(k), cap=2 ** (k + 1)).state_count == 2 ** (k + 1)
+    # {0}, {1}, {2} and the empty subset: the sink counts against the cap
+    ab = Nfa.from_word("ab", AB)
+    assert determinize(ab, cap=3).state_count == 3
+    with pytest.raises(ResourceLimitError, match="exploration exceeded"):
+        complement(ab, cap=3)
+    assert complement(ab, cap=4).state_count == 4
+
+
 def test_product_intersection_examples():
     astar = Nfa(AB, 1, 0, frozenset({0}), frozenset({(0, "a", 0)}))
     just_a = Nfa.from_word("a", AB)
@@ -182,7 +209,7 @@ def _random_pairs(seed, count):
 def test_inclusion_witness_matches_complement_product():
     # reference: the least word of a ∩ complement(b), built in full
     for a, b in _random_pairs(29, 600):
-        expected = shortest_word(product_intersection(a, complement_nfa(b)))
+        expected = shortest_word(product_intersection(a, complement(b)))
         assert inclusion_witness(a, b) == expected
         assert is_subset(a, b) == (expected is None)
 
@@ -267,6 +294,20 @@ def test_trim_and_finiteness():
     assert t.state_count == 2 and equivalent(t, a)
     assert is_finite_language(Nfa.from_words({"ab", "ba"}, AB))
     assert not is_finite_language(Nfa.universal(AB))
+
+
+def test_is_finite_language():
+    # pumping bound: an n-state NFA accepts infinitely many words iff it
+    # accepts one whose length is in [n, 2n)
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        a = random_nfa(rng, n, AB, density=rng.uniform(0.05, 0.4))
+        infinite = any(len(w) >= n for w in enumerate_language(a, 2 * n - 1))
+        assert is_finite_language(a) == (not infinite)
+        seen.add(infinite)
+    assert seen == {False, True}
 
 
 class _FrozensetSim:

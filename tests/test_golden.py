@@ -12,7 +12,10 @@ still ran its own worklist, and they are unchanged since.  The
 `sdi_nfa_direct_r30` digest (164k transitions; every other case is
 built from operands of at most 9 states) was printed the same way at
 the commit before the serializer streamed its rows from the successor
-table.  Regenerate them only for a deliberate change of numbering.
+table.  The two `complement_*` digests were printed from
+`complement(determinize(x))` at the commit before `complement` took any
+NFA through the one subset construction.  Regenerate them only for a
+deliberate change of numbering.
 """
 
 import hashlib
@@ -26,6 +29,7 @@ from sdikit import (
     SdiVariant,
     asdi_nfa_direct,
     candidate,
+    complement,
     deletion_nfa,
     determinize,
     finite_into_regular,
@@ -65,6 +69,8 @@ def _traj(name):
 CASES = {
     "determinize_blowup6": lambda: determinize(_blowup(6)),
     "determinize_random": lambda: determinize(_rand(1, 9)),
+    "complement_random": lambda: complement(_rand(49, 9, 0.15)),  # partial: gains a sink
+    "complement_blowup": lambda: complement(_blowup(5)),
     "product_intersection": lambda: product_intersection(_rand(2, 7), _rand(3, 6)),
     "union": lambda: union(_rand(4, 4), _rand(5, 5)),
     "union_all": lambda: union_all([_rand(6, 3), _rand(7, 4), _rand(8, 3)], AB),
@@ -100,6 +106,8 @@ CASES = {
 GOLDEN = {
     "determinize_blowup6": "a127540f481b64beaadfc0d1ae4bf5401fcd3267feee5c8127238a807bb77339",
     "determinize_random": "56e226d1046b1ef4e3a465d3c7215275786a14c16232bffb4dac2945178922f1",
+    "complement_random": "ec7f07bc28468d2e5ee63cb2e0d8a76dc5d13b85b937e47e2e6f49ecb949a795",
+    "complement_blowup": "0781d5f265a40261b43b0c44bb97d84d93140c9c9c825649d80c38a5c3845dad",
     "product_intersection": "9a0754cd66deff140ef0752cb23b633d05d478589e782f724793de1e8f7e91d6",
     "union": "497a6aca07c17cf93aad7a2ebab8d48e571f76ab29fec9f0cf1e785b2c4a1c4b",
     "union_all": "ab04d76c762df86d55ed96817b939817cfe2dd418355b7125d6dfc1445e828e4",

@@ -7,11 +7,13 @@ every operation is a pure function of its inputs.  One routine,
 start state is 0, each new state takes the next id (and its finality)
 when first reached, at most `DEFAULT_STATE_CAP` by default.  `_explore`
 runs it eagerly from a LIFO worklist, `_OnDemand` as far as a subset
-walk steps it.  Walks over one state's successors (the constructions,
-the canonical renumbering `_canonical_rows`, the determinism check) read
-`Nfa._delta`; subset walks (membership, subset construction,
-enumeration, the shortest word, the inclusion/equivalence search) step
-int bitsets over the per-symbol successor table `Nfa._masks`.
+walk steps it.  Transitions are stored once, as the successor rows
+`Nfa._delta` {(state, symbol): ascending targets}: `_explore`'s rows go
+to `Nfa._from_rows`, `Nfa(...)` reads them off its triples, and a
+rows-built `transitions` is made on first read.  Per-state walks (the
+constructions, `trim`, `_canonical_rows`) read the rows; subset walks
+(membership, subset construction, enumeration, the shortest word, the
+inclusion/equivalence search) step int bitsets over `Nfa._masks`.
 `determinize` and `complement` are one subset construction,
 `_subset_dfa`: `complement` takes any NFA, keeps only the reachable
 subsets, the empty one as the sink of the total DFA, and counts the
@@ -95,19 +97,48 @@ class Alphabet:
         return word
 
 
+class _RowsView:
+    """`Nfa.transitions` built from rows: the triples of `_delta`, made on first
+    read and stored as the field.  `Nfa(...)` stores its frozenset there, which
+    takes precedence over this non-data descriptor: a plain attribute read."""
+
+    def __get__(self, a: "Nfa | None", owner: type | None = None) -> frozenset:
+        if a is None:  # no class-level default: the field stays required
+            raise AttributeError("transitions")
+        vars(a)["transitions"] = frozenset((s, y, d) for (s, y), ds in a._delta.items() for d in ds)
+        return a.transitions
+
+
 @dataclass(frozen=True)
 class Nfa:
-    """NFA with a single initial state and transition triples (from, symbol, to)."""
+    """NFA with a single initial state and transition triples (from, symbol, to).
+    Equality, hash and repr read `transitions`, through `_RowsView` if built
+    from rows, so such an automaton equals its twin built from triples."""
 
     alphabet: Alphabet
     state_count: int
     initial: int
     finals: frozenset[int]
-    transitions: frozenset[tuple[int, str, int]]
+    transitions: frozenset[tuple[int, str, int]] = _RowsView()
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
+        self._check()
+
+    @classmethod
+    def _from_rows(
+        cls, alphabet: Alphabet, count: int, initial: int, finals: Iterable[int], rows: dict
+    ) -> "Nfa":
+        """The automaton whose `_delta` is `rows` (targets nonempty, distinct, ascending)."""
+        a = object.__new__(cls)
+        vars(a).update(alphabet=alphabet, state_count=count, initial=initial, _delta=rows)
+        vars(a)["finals"] = frozenset(finals)
+        a._check()
+        return a
+
+    def _check(self) -> None:
+        """Every check of a new automaton: its states, then each row of `_delta`."""
         count, symbols = self.state_count, self.alphabet._symbol_set
         if count < 1:
             raise InputError("automaton needs at least one state")
@@ -116,25 +147,36 @@ class Nfa:
         for q in self.finals:
             if not 0 <= q < count:
                 raise InputError(f"final state {q} out of range")
-        for src, sym, dst in self.transitions:
-            if not (0 <= src < count and 0 <= dst < count):
+        for (src, sym), row in self._delta.items():
+            if not (0 <= src < count and row[0] >= 0 and row[-1] < count):
+                dst = row[-1] if 0 <= src < count and row[0] >= 0 else row[0]
                 raise InputError(f"transition ({src}, {sym!r}, {dst}) out of range")
             if sym not in symbols:
                 raise InputError(f"transition symbol {sym!r} not in alphabet")
 
+    def _fields(self) -> tuple:
+        return self.alphabet, self.state_count, self.initial, self.finals, self.transitions
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
     @cached_property
     def _delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        table: dict[tuple[int, str], list[int]] = {}
+        """The successor rows, targets ascending; `Nfa(...)` reads them off its triples."""
+        table: defaultdict[tuple[int, str], list[int]] = defaultdict(list)
         for src, sym, dst in self.transitions:
-            table.setdefault((src, sym), []).append(dst)
+            table[src, sym].append(dst)
         return {key: tuple(sorted(dsts)) for key, dsts in table.items()}
 
     @cached_property
     def _masks(self) -> dict[str, list[int]]:
         """For each symbol, in alphabet order, the successor bitset of each state."""
         table = {sym: [0] * self.state_count for sym in self.alphabet}
-        for src, sym, dst in self.transitions:
-            table[sym][src] |= 1 << dst
+        for (src, sym), row in self._delta.items():
+            table[sym][src] = _mask(row)
         return table
 
     @cached_property
@@ -195,26 +237,19 @@ class Nfa:
         return cls(alphabet, len(ids), 0, frozenset(finals), frozenset(trans))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dfa(Nfa):
     """Possibly partial DFA: at most one successor per (state, symbol)."""
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _check(self) -> None:
+        super()._check()
         if not is_deterministic(self):
             src, sym = next(key for key, dsts in self._delta.items() if len(dsts) > 1)
             raise InputError(f"nondeterministic on ({src}, {sym!r})")
 
 
 def is_deterministic(a: Nfa) -> bool:
-    return len(a._delta) == len(a.transitions)
-
-
-def as_dfa(a: Nfa) -> Dfa:
-    """Reinterpret an NFA as a DFA; fails if it is nondeterministic."""
-    if isinstance(a, Dfa):
-        return a
-    return Dfa(a.alphabet, a.state_count, a.initial, a.finals, a.transitions)
+    return len(a._delta) == sum(map(len, a._delta.values()))  # no row is empty
 
 
 def _require_same_alphabet(alphabet: Alphabet, a: Nfa) -> Alphabet:
@@ -230,21 +265,21 @@ def _explore(
     expand: Callable[[Hashable], Iterable[tuple[str | None, Hashable]]],
     is_final: Callable[[Hashable], bool],
     cap: int = DEFAULT_STATE_CAP,
-) -> tuple[int, set[int], set[tuple[int, str | None, int]]]:
+) -> tuple[int, set[int], dict[tuple[int, str | None], tuple[int, ...]]]:
     """Number the keys reachable from `start` and collect their moves:
     the eager run of `_OnDemand`'s numbering, from a LIFO worklist.
 
     `expand(key)` yields the (symbol, key) moves out of a key; a None
     symbol is an internal epsilon move.  Serialized output depends on
-    the worklist order.  Returns (state_count, finals, transitions) over
-    ids.  Every id is reachable from 0, so the language is empty exactly
-    when `finals` is.  Raises ResourceLimitError when more than `cap`
-    keys are reached.
+    the worklist order.  Returns (state_count, finals, rows) over ids,
+    the rows as `Nfa._from_rows` takes them.  Every id is reachable from
+    0, so the language is empty exactly when `finals` is.  Raises
+    ResourceLimitError when more than `cap` keys are reached.
     """
     run = _OnDemand((), start, expand, is_final, cap)  # no alphabet: no mask rows
     ids, keys, number = run._ids, run._keys, run._number
     stack = [0]
-    trans: set[tuple[int, str | None, int]] = set()
+    rows: dict = {}
     while stack:
         sid = stack.pop()
         for sym, nxt in expand(keys[sid]):
@@ -252,8 +287,18 @@ def _explore(
             if nid is None:
                 nid = number(nxt)
                 stack.append(nid)
-            trans.add((sid, sym, nid))
-    return len(keys), set(run._finals), trans
+            key = (sid, sym)
+            row = rows.get(key)
+            if row is None:  # most rows of a subset DFA or a deletion product end here
+                rows[key] = (nid,)
+            elif row.__class__ is list:
+                row.append(nid)
+            elif row[0] != nid:
+                rows[key] = [row[0], nid]
+    for key, row in rows.items():
+        if row.__class__ is list:
+            rows[key] = tuple(sorted(set(row)))
+    return len(keys), set(run._finals), rows
 
 
 class _OnDemand:
@@ -345,7 +390,7 @@ def _bits(subset: int) -> Iterator[int]:
 
 def _mask(states: Iterable[int]) -> int:
     """The bitset of a set of states."""
-    return sum(1 << q for q in states)
+    return sum(map((1).__lshift__, states))
 
 
 def _step_all(subset: int, masks: Mapping[str, list[int]]) -> list[int]:
@@ -388,10 +433,10 @@ def _subset_dfa(a: Nfa, flip: bool, cap: int) -> Dfa:
             if nxt or flip:
                 yield sym, nxt
 
-    count, final_ids, trans = _explore(
+    count, final_ids, rows = _explore(
         1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, cap
     )
-    return Dfa(a.alphabet, count, 0, final_ids, trans)
+    return Dfa._from_rows(a.alphabet, count, 0, final_ids, rows)
 
 
 def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -423,8 +468,8 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
             for p2 in a.successors(p, sym):
                 yield sym, p2
 
-    count, finals, trans = _explore(*_meet_parts(a.initial, moves, a.finals.__contains__, b))
-    return Nfa(alphabet, count, 0, finals, trans)
+    count, finals, rows = _explore(*_meet_parts(a.initial, moves, a.finals.__contains__, b))
+    return Nfa._from_rows(alphabet, count, 0, finals, rows)
 
 
 def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -> tuple:
@@ -471,15 +516,16 @@ def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:
 
 def _reachable(a: Nfa) -> set[int]:
     fwd: dict[int, list[int]] = {}
-    for src, _, dst in a.transitions:
-        fwd.setdefault(src, []).append(dst)
+    for (src, _), row in a._delta.items():
+        fwd.setdefault(src, []).extend(row)
     return _reach([a.initial], fwd)
 
 
 def _coreachable(a: Nfa) -> set[int]:
     rev: dict[int, list[int]] = {}
-    for src, _, dst in a.transitions:
-        rev.setdefault(dst, []).append(src)
+    for (src, _), row in a._delta.items():
+        for dst in row:
+            rev.setdefault(dst, []).append(src)
     return _reach(a.finals, rev)
 
 
@@ -492,17 +538,21 @@ def trim(a: Nfa) -> Nfa:
     useful = _reachable(a) & _coreachable(a)
     if a.initial not in useful:
         return Nfa.empty_language(a.alphabet)
-    remap = {old: new for new, old in enumerate(sorted(useful))}
-    trans = frozenset(
-        (remap[src], sym, remap[dst])
-        for src, sym, dst in a.transitions
-        if src in useful and dst in useful
-    )
-    finals = frozenset(remap[q] for q in a.finals if q in useful)
-    return Nfa(a.alphabet, len(useful), remap[a.initial], finals, trans)
+    if len(useful) == a.state_count:  # nothing to drop: the rows stay as they are
+        return Nfa._from_rows(a.alphabet, a.state_count, a.initial, a.finals, a._delta)
+    new_ids = iter(range(len(useful)))  # increasing, so rows stay ascending
+    remap = [next(new_ids) if q in useful else -1 for q in range(a.state_count)]  # -1: dropped
+    rows = {}
+    for (src, sym), row in a._delta.items():
+        if remap[src] >= 0:
+            targets = tuple(filter((0).__le__, map(remap.__getitem__, row)))
+            if targets:
+                rows[remap[src], sym] = targets
+    finals = [remap[q] for q in a.finals if q in useful]
+    return Nfa._from_rows(a.alphabet, len(useful), remap[a.initial], finals, rows)
 
 
-def _canonical_rows(a: Nfa) -> tuple[int, list[int], list[tuple[int, str, list[int]]]]:
+def _canonical_rows(a: Nfa) -> tuple[int, list[int], dict[tuple[int, str], tuple[int, ...]]]:
     """The canonical renumbering, the one routine behind `canonicalize`
     and `textio.serialize_automaton`.
 
@@ -510,15 +560,15 @@ def _canonical_rows(a: Nfa) -> tuple[int, list[int], list[tuple[int, str, list[i
     which becomes 0; the successors of a state are met by symbol, in
     alphabet order, then by their id in `a`, read off `a._delta`.
     Returns the reachable state count, the new ids of the reachable
-    finals in ascending order, and every nonempty row (source, symbol,
-    targets) by source, then symbol, with the targets in ascending new
+    finals in ascending order, and every nonempty row {(source, symbol):
+    targets} by source, then symbol, with the targets in ascending new
     id: the transitions in canonical text order.
     """
     delta, symbols = a._delta, a.alphabet.symbols
     new = [-1] * a.state_count
     new[a.initial] = 0
     order = [a.initial]
-    rows: list[tuple[int, str, list[int]]] = []
+    rows: dict[tuple[int, str], tuple[int, ...]] = {}
     for src, q in enumerate(order):  # grows while it is walked: a FIFO queue
         for sym in symbols:
             targets = []
@@ -529,8 +579,7 @@ def _canonical_rows(a: Nfa) -> tuple[int, list[int], list[tuple[int, str, list[i
                     order.append(dst)
                 targets.append(nid)
             if targets:
-                targets.sort()
-                rows.append((src, sym, targets))
+                rows[src, sym] = tuple(sorted(targets))
     finals = sorted(new[q] for q in a.finals if new[q] >= 0)
     return len(order), finals, rows
 
@@ -539,9 +588,7 @@ def canonicalize(a: Nfa) -> Nfa:
     """Renumber reachable states in BFS order from the initial state;
     the successors of a state are visited by symbol, then by state id."""
     count, finals, rows = _canonical_rows(a)
-    trans = frozenset((src, sym, dst) for src, sym, targets in rows for dst in targets)
-    out = Nfa(a.alphabet, count, 0, frozenset(finals), trans)
-    return as_dfa(out) if isinstance(a, Dfa) else out
+    return type(a)._from_rows(a.alphabet, count, 0, finals, rows)
 
 
 def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool, cap: int) -> Word | None:

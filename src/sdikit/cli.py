@@ -83,15 +83,26 @@ def _operands(args, tries: bool = True) -> list[Nfa | list[str]]:
     return operands
 
 
-def _bound(text: str) -> int:
-    """A `--max-len` value: a whole number, at least 0."""
+def _at_least(minimum: int):
+    """The argparse type of a whole number, at least `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _state_range(text: str) -> tuple[int, int]:
+    """An `--m-range`/`--n-range` value: LO:HI, or N for N:N."""
+    lo, _, hi = text.partition(":")
     try:
-        value = int(text)
+        return int(lo), int(hi or lo)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(f"not LO:HI or N: {text!r}") from None
 
 
 def _load_trajectory(spec_text: str, kind: TrajectoryKind) -> TrajectoryLanguage:
@@ -268,16 +279,8 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    def parse_range(text: str) -> tuple[int, int]:
-        lo, _, hi = text.partition(":")
-        return (int(lo), int(hi or lo))
-
     audits = complexity.size_audit(
-        args.construction,
-        parse_range(args.m_range),
-        parse_range(args.n_range),
-        args.samples,
-        seed=args.seed,
+        args.construction, args.m_range, args.n_range, args.samples, seed=args.seed
     )
     for audit in audits:
         print(f"{audit.construction} {audit.m} {audit.n} {audit.bound} {audit.actual}")
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trajectory set for shuffle/deletion: "
                       f"one of {', '.join(NAMED_TRAJECTORIES)} or an automaton file")
     p_op.add_argument("--out", metavar="FILE", help="write the result automaton")
-    p_op.add_argument("--max-len", type=_bound, help="enumerate the result up to this length")
+    p_op.add_argument("--max-len", type=_at_least(0), help="enumerate the result up to this length")
     p_op.set_defaults(func=_cmd_op)
 
     p_member = sub.add_parser("member", help="decide membership in an operation result")
@@ -353,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_decide = sub.add_parser("decide", help="decision procedures")
     p_decide.add_argument("predicate", choices=list(_DECIDERS))
     p_decide.add_argument("operands", nargs="*")
-    p_decide.add_argument("--max-len", type=_bound, help="bound for counterexample search")
+    p_decide.add_argument("--max-len", type=_at_least(0), help="bound for counterexample search")
     p_decide.set_defaults(func=_cmd_decide)
 
     p_solve = sub.add_parser("solve", help="one-variable language equation X op L = R or L op X = R")
@@ -367,21 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enum", help="enumerate a regular language")
     p_enum.add_argument("automaton")
-    p_enum.add_argument("--max-len", type=_bound, required=True)
+    p_enum.add_argument("--max-len", type=_at_least(0), required=True)
     p_enum.set_defaults(func=_cmd_enum)
 
     p_audit = sub.add_parser("audit", help="construction size audit against the formula bound")
     p_audit.add_argument("--construction", required=True, choices=["sdi", "asdi"])
-    p_audit.add_argument("--m-range", required=True, help="LO:HI states of the host automaton")
-    p_audit.add_argument("--n-range", required=True, help="LO:HI states of the inserted automaton")
-    p_audit.add_argument("--samples", type=int, default=5)
+    p_audit.add_argument("--m-range", type=_state_range, required=True, help="LO:HI host states")
+    p_audit.add_argument("--n-range", type=_state_range, required=True, help="LO:HI insert states")
+    p_audit.add_argument("--samples", type=_at_least(1), default=5)
     p_audit.add_argument("--seed", type=int, default=0)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_fool = sub.add_parser("fooling", help="search a fooling set certifying an NFA lower bound")
     p_fool.add_argument("automaton")
     p_fool.add_argument("--target", type=int, required=True)
-    p_fool.add_argument("--max-len", type=_bound, required=True)
+    p_fool.add_argument("--max-len", type=_at_least(0), required=True)
     p_fool.add_argument("--seed", type=int, default=0)
     p_fool.set_defaults(func=_cmd_fooling)
 

@@ -30,8 +30,8 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     With require_insertion=True the inserted middle must be nonempty
     (the z phase cannot be skipped).
     """
-    count, finals, trans = _explore(*_sdi_parts(a, b, require_insertion))
-    return Nfa(a.alphabet, count, 0, finals, trans)
+    count, finals, rows = _explore(*_sdi_parts(a, b, require_insertion))
+    return Nfa._from_rows(a.alphabet, count, 0, finals, rows)
 
 
 def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
@@ -103,8 +103,8 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     Three phases: host alone, insert automaton alone between the two
     single-letter joint steps, host alone again.
     """
-    count, finals, trans = _explore(*_asdi_parts(a, b, require_insertion))
-    return Nfa(a.alphabet, count, 0, finals, trans)
+    count, finals, rows = _explore(*_asdi_parts(a, b, require_insertion))
+    return Nfa._from_rows(a.alphabet, count, 0, finals, rows)
 
 
 def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
@@ -229,10 +229,10 @@ def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
                     nxt = None if len(extended) >= j - i else extended
                     yield sym, ("post", dec, p2, nxt)
 
-    count, finals, trans = _explore(
+    count, finals, rows = _explore(
         ("pre", a.initial, ""), expand, lambda key: key[0] == "post" and key[2] in a.finals
     )
-    return trim(Nfa(a.alphabet, count, 0, finals, trans))
+    return trim(Nfa._from_rows(a.alphabet, count, 0, finals, rows))
 
 
 def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
@@ -281,10 +281,10 @@ def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
                 for p2 in a.successors(p, sym):
                     yield sym, ("post", p2)
 
-    count, finals, trans = _explore(
+    count, finals, rows = _explore(
         ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
     )
-    return trim(Nfa(a.alphabet, count, 0, finals, trans))
+    return trim(Nfa._from_rows(a.alphabet, count, 0, finals, rows))
 
 
 def regular_max_sdi_finite(a: Nfa, words: set[Word] | list[Word], variant: SdiVariant) -> Nfa:

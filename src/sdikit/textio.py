@@ -14,8 +14,8 @@ Written automata are canonical (`serialize_automaton`): the reachable
 states renumbered breadth-first from the initial state, which becomes
 0, and the transitions by source, symbol and target, so equal inputs
 give equal bytes.  The text is streamed row by row from the automaton's
-per-state successor index (`Nfa._delta`, the sorted targets of each
-state and symbol) through the renumbering `automata.canonicalize` uses.
+transition store (`Nfa._delta`, the ascending targets of each state and
+symbol) through the renumbering `automata.canonicalize` uses.
 
 Word lists hold one word per line; the empty word is written `-`
 (that character can never be an alphabet symbol).
@@ -110,7 +110,7 @@ def serialize_automaton(a: Nfa) -> str:
         "initial: 0",
         "final: " + " ".join(map(str, finals)),
     ]
-    for src, sym, targets in rows:
+    for (src, sym), targets in rows.items():
         prefix = f"{src} {sym} -> "
         lines.append(prefix + ("\n" + prefix).join(map(str, targets)))
     return "\n".join(lines).rstrip() + "\n"

@@ -155,10 +155,10 @@ def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
                         for r2 in sync_steps:
                             yield sym, (p2, q2, r2)
 
-    count, finals, trans = _explore(
+    count, finals, rows = _explore(
         (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
     )
-    return trim(Nfa(alphabet, count, 0, finals, trans))
+    return trim(Nfa._from_rows(alphabet, count, 0, finals, rows))
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -192,11 +192,11 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
                         for r2 in del_steps:
                             yield None, (p2, q2, r2)
 
-    count, finals, trans = _explore(
+    count, finals, rows = _explore(
         (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
     )
-    finals2, trans2 = _eliminate_epsilon(count, finals, trans)
-    return trim(Nfa(alphabet, count, 0, finals2, trans2))
+    finals, rows = _eliminate_epsilon(alphabet, finals, rows)
+    return trim(Nfa._from_rows(alphabet, count, 0, finals, rows))
 
 
 def reversed_deletion(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -209,28 +209,18 @@ def _all_final(a: Nfa, b: Nfa, traj: Nfa):
     return lambda key: key[0] in a.finals and key[1] in b.finals and key[2] in traj.finals
 
 
-def _eliminate_epsilon(
-    n: int,
-    finals: set[int],
-    trans: set[tuple[int, str | None, int]],
-) -> tuple[set[int], set[tuple[int, str, int]]]:
-    """Fold the epsilon moves (symbol None) of `trans` into the symbol
-    moves and finals of every state that reaches them."""
-    eps_adj: dict[int, list[int]] = {}
-    out_by_state: dict[int, list[tuple[str, int]]] = {}
-    for src, sym, dst in trans:
-        if sym is None:
-            eps_adj.setdefault(src, []).append(dst)
-        else:
-            out_by_state.setdefault(src, []).append((sym, dst))
-
-    new_trans: set[tuple[int, str, int]] = set()
-    new_finals: set[int] = set()
-    for state in range(n):
+def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tuple[set[int], dict]:
+    """Fold the epsilon rows (symbol None) of `rows` into the symbol rows
+    and finals of every state that has them; other states keep theirs."""
+    eps_adj = {src: row for (src, sym), row in rows.items() if sym is None}
+    new_rows = {key: row for key, row in rows.items() if key[1] is not None}
+    new_finals = set(finals)
+    for state in eps_adj:
         closure = _reach([state], eps_adj)
-        if closure & finals:
+        if not closure.isdisjoint(finals):
             new_finals.add(state)
-        for member in closure:
-            for sym, dst in out_by_state.get(member, ()):
-                new_trans.add((state, sym, dst))
-    return new_finals, new_trans
+        for sym in alphabet:
+            targets = set().union(*[rows.get((q, sym), ()) for q in closure])
+            if targets:
+                new_rows[state, sym] = tuple(sorted(targets))
+    return new_finals, new_rows

@@ -60,6 +60,25 @@ def wide_random_nfa(rng):
     return Nfa(alphabet, n, rng.randrange(n), frozenset(finals), frozenset(trans))
 
 
+def count_builds(monkeypatch):
+    """Record in the returned list every automaton built from now on,
+    through either constructor: `Nfa(...)` or `Nfa._from_rows`."""
+    built = []
+    post_init, from_rows = Nfa.__post_init__, Nfa._from_rows.__func__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counting_from_rows(cls, *args):
+        built.append(from_rows(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(Nfa, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Nfa, "_from_rows", classmethod(counting_from_rows))
+    return built
+
+
 @pytest.fixture
 def ab_alphabet():
     return AB

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
-from sdikit import automata
+from sdikit import automata, trajectories
 from sdikit import (
     Alphabet,
+    Dfa,
     InputError,
     Nfa,
     ResourceLimitError,
+    canonicalize,
     complement,
+    deletion_nfa,
     determinize,
     enumerate_language,
     equivalence_witness,
@@ -18,6 +21,7 @@ from sdikit import (
     is_finite_language,
     is_subset,
     membership,
+    named_trajectory,
     product_intersection,
     shortest_word,
     trim,
@@ -28,7 +32,7 @@ from sdikit.constructions import _sdi_parts, asdi_nfa_direct, sdi_nfa_direct
 from sdikit.equations import EquationSpec, UnknownSide, _apply
 from sdikit.oracle import SdiVariant
 
-from conftest import AB, ABC, all_words, ba_blocks, blowup, lenlex, wide_random_nfa
+from conftest import AB, ABC, all_words, ba_blocks, blowup, count_builds, lenlex, wide_random_nfa
 
 
 def astar_b():
@@ -106,14 +110,7 @@ def test_complement_examples():
 def test_complement_builds_one_automaton(monkeypatch):
     a = random_nfa(random.Random(5), 6, AB, density=0.15)
     assert determinize(a).state_count < complement(a).state_count  # the sink is there
-    built = []
-    post_init = Nfa.__post_init__
-
-    def counting_post_init(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Nfa, "__post_init__", counting_post_init)
+    built = count_builds(monkeypatch)
     comp = complement(a)
     assert len(built) == 1 and built[0] is comp
 
@@ -534,3 +531,109 @@ def test_explore_outputs_are_empty_exactly_without_finals():
             assert is_empty(c) == (not c.finals)
             empties += is_empty(c)
     assert 0 < empties < 3 * len(pairs)
+
+
+# -- the successor-row store -------------------------------------------------
+
+
+def _deletion_t1(rng):
+    """A deletion along T1 whose product has epsilon moves and whose
+    language is not empty: "aab" or "ab" is deleted from "aabb"."""
+    a = union(random_nfa(rng, 6, AB, 0.3), Nfa.from_word("aabb", AB))
+    return deletion_nfa(a, Nfa.from_words(["aab", "ab"], AB), named_trajectory("T1").language)
+
+
+def _rows_built_cases():
+    """Rows-built automata of every kind of producer, with their names."""
+    rng = random.Random(61)
+    for _ in range(4):
+        a, b = random_nfa(rng, 4, AB, 0.3), random_nfa(rng, 3, AB, 0.3)
+        yield "sdi_nfa_direct", sdi_nfa_direct(a, b)
+        yield "deletion_nfa", _deletion_t1(rng)
+        yield "complement", complement(a)
+        yield "trim", trim(union(a, b))
+
+
+def test_rows_built_automata_equal_their_triple_built_twins():
+    for name, c in _rows_built_cases():
+        assert "transitions" not in vars(c), name  # the view is not built yet
+        twin = type(c)(c.alphabet, c.state_count, c.initial, c.finals, c.transitions)
+        assert c == twin and twin == c, name
+        assert hash(c) == hash(twin) and repr(c) == repr(twin), name
+        fewer = c.transitions - {min(c.transitions, default=None)}  # one triple less, if any
+        shrunk = type(c)(c.alphabet, c.state_count, c.initial, c.finals, fewer)
+        assert (c == shrunk) == (not c.transitions), name
+        assert repr(c).startswith(type(c).__name__ + "(alphabet=")
+        canon = canonicalize(c)
+        assert "transitions" not in vars(canon)
+        assert canonicalize(canon) == canon
+
+
+def test_rows_constructor_checks_as_the_triples_constructor():
+    cases = [  # state count, initial, finals, triples
+        (0, 0, [], []),
+        (2, 2, [], []),
+        (2, 0, [5], []),
+        (2, 0, [], [(2, "a", 0)]),
+        (2, 0, [], [(0, "a", 0), (0, "a", 2)]),
+        (2, 0, [], [(0, "a", -1), (0, "a", 1)]),
+        (2, 0, [], [(0, "c", 1)]),
+    ]
+    for count, initial, finals, triples in cases:
+        rows = {}
+        for src, sym, dst in sorted(triples, key=lambda t: t[2]):
+            rows[src, sym] = rows.get((src, sym), ()) + (dst,)
+        with pytest.raises(InputError) as by_triples:
+            Nfa(AB, count, initial, frozenset(finals), frozenset(triples))
+        with pytest.raises(InputError) as by_rows:
+            Nfa._from_rows(AB, count, initial, finals, rows)
+        assert str(by_rows.value) == str(by_triples.value)
+    with pytest.raises(InputError, match=r"^transition \(0, 'a', 2\) out of range$"):
+        Nfa._from_rows(AB, 2, 0, [], {(0, "a"): (0, 2)})
+    with pytest.raises(InputError, match=r"^transition symbol 'c' not in alphabet$"):
+        Nfa._from_rows(AB, 2, 0, [], {(0, "c"): (1,)})
+
+
+def test_rows_built_dfa_names_its_nondeterministic_row():
+    rows = {(0, "a"): (1,), (1, "b"): (0, 2), (2, "a"): (2,)}
+    with pytest.raises(InputError, match=r"^nondeterministic on \(1, 'b'\)$"):
+        Dfa._from_rows(AB, 3, 0, [2], rows)
+    assert Nfa._from_rows(AB, 3, 0, [2], rows).successors(1, "b") == (0, 2)
+
+
+def _store_from_triples(a):
+    """`_delta` and `_masks` as read off the triples, one bit at a time."""
+    delta, masks = {}, {sym: [0] * a.state_count for sym in a.alphabet}
+    for src, sym, dst in a.transitions:
+        delta.setdefault((src, sym), set()).add(dst)
+        masks[sym][src] |= 1 << dst
+    return {key: tuple(sorted(dsts)) for key, dsts in delta.items()}, masks
+
+
+def test_rows_store_matches_the_triples(monkeypatch):
+    rng = random.Random(62)
+    built = []
+    for _ in range(40):
+        a, b = wide_random_nfa(rng), wide_random_nfa(rng)
+        b = Nfa(a.alphabet, b.state_count, b.initial, b.finals,
+                frozenset(t for t in b.transitions if t[1] in a.alphabet))
+        built += [trim(a), canonicalize(a), product_intersection(a, b)]
+        try:
+            built.append(determinize(a, cap=4096))
+        except ResourceLimitError:
+            pass
+    assert max(c.state_count for c in built) > 64 and any(isinstance(c, Dfa) for c in built)
+    # a deletion product whose epsilon rows are folded away
+    eliminate, carried = trajectories._eliminate_epsilon, []
+
+    def spy(alphabet, finals, rows):
+        carried.append(any(sym is None for _, sym in rows))
+        return eliminate(alphabet, finals, rows)
+
+    monkeypatch.setattr(trajectories, "_eliminate_epsilon", spy)
+    for _ in range(10):
+        built.append(_deletion_t1(rng))
+    assert all(carried) and all(c.finals for c in built[-10:])
+    for c in built:
+        delta, masks = c._delta, c._masks
+        assert (delta, masks) == _store_from_triples(c)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdikit import (
@@ -9,7 +11,9 @@ from sdikit import (
     oracle,
     sdi_nfa_direct,
 )
+from sdikit import automata
 from sdikit.cli import main
+from sdikit.complexity import random_nfa
 from sdikit.textio import load_automaton, save_automaton, serialize_words
 
 from conftest import AB, ABC, ba_blocks
@@ -222,6 +226,43 @@ def test_audit(files, capsys):
         name, m, n, bound, actual = line.split()
         assert name == "asdi"
         assert int(actual) <= int(bound) == int(m) * int(n) + 2 * int(m)
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--m-range", "x", "--m-range: not LO:HI or N: 'x'"),
+        ("--n-range", "1:y", "--n-range: not LO:HI or N: '1:y'"),
+        ("--samples", "0", "--samples: must be at least 1, got 0"),
+        ("--samples", "-3", "--samples: must be at least 1, got -3"),
+    ],
+)
+def test_audit_bad_option_is_usage_error(capsys, option, value, message):
+    options = {"--m-range": "1", "--n-range": "1", option: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["audit", "--construction", "sdi", *(x for item in options.items() for x in item)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_op_sdi_out_never_builds_the_transition_set(files, tmp_path, monkeypatch):
+    reads = []
+    view_get = automata._RowsView.__get__
+
+    def spy(self, a, owner=None):
+        if a is not None:
+            reads.append(a)
+        return view_get(self, a, owner)
+
+    monkeypatch.setattr(automata._RowsView, "__get__", spy)
+    a, b = (random_nfa(random.Random(seed), 8, AB, 0.3) for seed in (71, 72))
+    paths = [str(tmp_path / name) for name in ("a.nfa", "b.nfa", "out.nfa")]
+    save_automaton(paths[0], a)
+    save_automaton(paths[1], b)
+    assert main(["op", "--variant", "sdi", paths[0], paths[1], "--out", paths[2]]) == 0
+    assert equivalent(load_automaton(paths[2]), sdi_nfa_direct(a, b))
+    assert reads == []
+    assert sdi_nfa_direct(a, b).transitions and len(reads) == 1  # the spy sees a read
 
 
 def test_fooling_cli(files, capsys):

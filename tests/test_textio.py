@@ -14,7 +14,7 @@ from sdikit.textio import (
     serialize_words,
 )
 
-from conftest import AB, wide_random_nfa
+from conftest import AB, count_builds, wide_random_nfa
 
 SAMPLE = """\
 # three-state sample
@@ -121,8 +121,7 @@ def test_serializer_builds_no_automaton(monkeypatch):
     rng = random.Random(47)
     automata = [wide_random_nfa(rng) for _ in range(10)]
     automata.append(Dfa(AB, 2, 1, frozenset({0}), frozenset({(1, "a", 0), (0, "b", 0)})))
-    built = []
-    monkeypatch.setattr(Nfa, "__post_init__", lambda self: built.append(self))
+    built = count_builds(monkeypatch)
     for a in automata:
         serialize_automaton(a)
     assert built == []

@@ -8,12 +8,11 @@ start state is 0, each new state takes the next id (and its finality)
 when first reached, at most `DEFAULT_STATE_CAP` by default.  `_explore`
 runs it eagerly from a LIFO worklist, `_OnDemand` as far as a subset
 walk steps it.  Transitions are stored once, as the successor rows
-`Nfa._delta` {(state, symbol): ascending targets}: `_explore`'s rows go
-to `Nfa._from_rows`, `Nfa(...)` reads them off its triples, and a
-rows-built `transitions` is made on first read.  Per-state walks (the
-constructions, `trim`, `_canonical_rows`) read the rows; subset walks
-(membership, subset construction, enumeration, the shortest word, the
-inclusion/equivalence search) step int bitsets over `Nfa._masks`.
+`Nfa._delta` {(state, symbol): ascending targets} that `_explore` hands
+to `Nfa._from_rows` (`Nfa(...)` reads them off its triples).  Per-state
+walks read the rows; subset walks (membership, subset construction,
+enumeration, the shortest word, the inclusion/equivalence search) step
+int bitsets over `Nfa._masks`.
 `determinize` and `complement` are one subset construction,
 `_subset_dfa`: `complement` takes any NFA, keeps only the reachable
 subsets, the empty one as the sink of the total DFA, and counts the
@@ -98,9 +97,8 @@ class Alphabet:
 
 
 class _RowsView:
-    """`Nfa.transitions` built from rows: the triples of `_delta`, made on first
-    read and stored as the field.  `Nfa(...)` stores its frozenset there, which
-    takes precedence over this non-data descriptor: a plain attribute read."""
+    """`Nfa.transitions` of a rows-built automaton, made from `_delta` on first read.  `Nfa(...)`
+    stores its frozenset as an instance attribute, which wins over this non-data descriptor."""
 
     def __get__(self, a: "Nfa | None", owner: type | None = None) -> frozenset:
         if a is None:  # no class-level default: the field stays required
@@ -111,9 +109,8 @@ class _RowsView:
 
 @dataclass(frozen=True)
 class Nfa:
-    """NFA with a single initial state and transition triples (from, symbol, to).
-    Equality, hash and repr read `transitions`, through `_RowsView` if built
-    from rows, so such an automaton equals its twin built from triples."""
+    """NFA with a single initial state and transition triples (from, symbol, to); one
+    built from rows equals, hashes and prints as its triple-built twin (`_RowsView`)."""
 
     alphabet: Alphabet
     state_count: int
@@ -124,21 +121,19 @@ class Nfa:
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "transitions", frozenset(self.transitions))
-        self._check()
+        self._check((src, sym, dst, dst) for src, sym, dst in self.transitions)
 
     @classmethod
-    def _from_rows(
-        cls, alphabet: Alphabet, count: int, initial: int, finals: Iterable[int], rows: dict
-    ) -> "Nfa":
+    def _from_rows(cls, alphabet: Alphabet, count: int, initial: int, finals, rows: dict) -> "Nfa":
         """The automaton whose `_delta` is `rows` (targets nonempty, distinct, ascending)."""
         a = object.__new__(cls)
         vars(a).update(alphabet=alphabet, state_count=count, initial=initial, _delta=rows)
         vars(a)["finals"] = frozenset(finals)
-        a._check()
+        a._check((src, sym, row[0], row[-1]) for (src, sym), row in rows.items())
         return a
 
-    def _check(self) -> None:
-        """Every check of a new automaton: its states, then each row of `_delta`."""
+    def _check(self, moves: Iterable[tuple[int, str, int, int]]) -> None:
+        """Every check of a new automaton: its states, then (src, sym, least, greatest target)s."""
         count, symbols = self.state_count, self.alphabet._symbol_set
         if count < 1:
             raise InputError("automaton needs at least one state")
@@ -147,9 +142,9 @@ class Nfa:
         for q in self.finals:
             if not 0 <= q < count:
                 raise InputError(f"final state {q} out of range")
-        for (src, sym), row in self._delta.items():
-            if not (0 <= src < count and row[0] >= 0 and row[-1] < count):
-                dst = row[-1] if 0 <= src < count and row[0] >= 0 else row[0]
+        for src, sym, lo, hi in moves:
+            if not (0 <= src < count and lo >= 0 and hi < count):
+                dst = hi if 0 <= src < count and lo >= 0 else lo
                 raise InputError(f"transition ({src}, {sym!r}, {dst}) out of range")
             if sym not in symbols:
                 raise InputError(f"transition symbol {sym!r} not in alphabet")
@@ -173,10 +168,15 @@ class Nfa:
 
     @cached_property
     def _masks(self) -> dict[str, list[int]]:
-        """For each symbol, in alphabet order, the successor bitset of each state."""
+        """For each symbol, in alphabet order, the successor bitset of each
+        state: one per row when the rows are at hand, else one bit per triple."""
         table = {sym: [0] * self.state_count for sym in self.alphabet}
-        for (src, sym), row in self._delta.items():
-            table[sym][src] = _mask(row)
+        if "_delta" in vars(self):
+            for (src, sym), row in self._delta.items():
+                table[sym][src] = _mask(row)
+        else:  # as read by `membership` alone, `Nfa(...)` never groups its triples
+            for src, sym, dst in self.transitions:
+                table[sym][src] |= 1 << dst
         return table
 
     @cached_property
@@ -241,8 +241,8 @@ class Nfa:
 class Dfa(Nfa):
     """Possibly partial DFA: at most one successor per (state, symbol)."""
 
-    def _check(self) -> None:
-        super()._check()
+    def _check(self, moves: Iterable[tuple[int, str, int, int]]) -> None:
+        super()._check(moves)
         if not is_deterministic(self):
             src, sym = next(key for key, dsts in self._delta.items() if len(dsts) > 1)
             raise InputError(f"nondeterministic on ({src}, {sym!r})")

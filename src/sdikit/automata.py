@@ -174,7 +174,7 @@ class Nfa:
         if "_delta" in vars(self):
             for (src, sym), row in self._delta.items():
                 table[sym][src] = _mask(row)
-        else:  # as read by `membership` alone, `Nfa(...)` never groups its triples
+        else:  # no rows yet: an automaton that only `membership` reads is never grouped
             for src, sym, dst in self.transitions:
                 table[sym][src] |= 1 << dst
         return table

@@ -29,7 +29,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 Word = str
 
@@ -96,6 +96,12 @@ class Alphabet:
         return word
 
 
+class _Rows(NamedTuple):
+    """Successor rows that `Nfa._from_rows` hands to `Nfa(...)` in place of triples."""
+
+    rows: dict
+
+
 class _RowsView:
     """`Nfa.transitions` of a rows-built automaton, made from `_delta` on first read.  `Nfa(...)`
     stores its frozenset as an instance attribute, which wins over this non-data descriptor."""
@@ -120,17 +126,18 @@ class Nfa:
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", frozenset(self.transitions))
-        self._check((src, sym, dst, dst) for src, sym, dst in self.transitions)
+        given = vars(self).pop("transitions")
+        if given.__class__ is _Rows:  # from `_from_rows`: `transitions` stays the view
+            rows = vars(self)["_delta"] = given.rows
+            self._check((src, sym, row[0], row[-1]) for (src, sym), row in rows.items())
+        else:
+            vars(self)["transitions"] = frozenset(given)
+            self._check((src, sym, dst, dst) for src, sym, dst in self.transitions)
 
     @classmethod
     def _from_rows(cls, alphabet: Alphabet, count: int, initial: int, finals, rows: dict) -> "Nfa":
         """The automaton whose `_delta` is `rows` (targets nonempty, distinct, ascending)."""
-        a = object.__new__(cls)
-        vars(a).update(alphabet=alphabet, state_count=count, initial=initial, _delta=rows)
-        vars(a)["finals"] = frozenset(finals)
-        a._check((src, sym, row[0], row[-1]) for (src, sym), row in rows.items())
-        return a
+        return cls(alphabet, count, initial, finals, _Rows(rows))
 
     def _check(self, moves: Iterable[tuple[int, str, int, int]]) -> None:
         """Every check of a new automaton: its states, then (src, sym, least, greatest target)s."""
@@ -161,22 +168,17 @@ class Nfa:
     @cached_property
     def _delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
         """The successor rows, targets ascending; `Nfa(...)` reads them off its triples."""
-        table: defaultdict[tuple[int, str], list[int]] = defaultdict(list)
+        table: dict[tuple[int, str], list[int]] = {}
         for src, sym, dst in self.transitions:
-            table[src, sym].append(dst)
+            table.setdefault((src, sym), []).append(dst)
         return {key: tuple(sorted(dsts)) for key, dsts in table.items()}
 
     @cached_property
     def _masks(self) -> dict[str, list[int]]:
-        """For each symbol, in alphabet order, the successor bitset of each
-        state: one per row when the rows are at hand, else one bit per triple."""
+        """For each symbol, in alphabet order, the successor bitset of each state, one per row."""
         table = {sym: [0] * self.state_count for sym in self.alphabet}
-        if "_delta" in vars(self):
-            for (src, sym), row in self._delta.items():
-                table[sym][src] = _mask(row)
-        else:  # no rows yet: an automaton that only `membership` reads is never grouped
-            for src, sym, dst in self.transitions:
-                table[sym][src] |= 1 << dst
+        for (src, sym), row in self._delta.items():
+            table[sym][src] = _mask(row)
         return table
 
     @cached_property
@@ -390,7 +392,7 @@ def _bits(subset: int) -> Iterator[int]:
 
 def _mask(states: Iterable[int]) -> int:
     """The bitset of a set of states."""
-    return sum(map((1).__lshift__, states))
+    return sum(1 << q for q in states)
 
 
 def _step_all(subset: int, masks: Mapping[str, list[int]]) -> list[int]:
@@ -538,8 +540,6 @@ def trim(a: Nfa) -> Nfa:
     useful = _reachable(a) & _coreachable(a)
     if a.initial not in useful:
         return Nfa.empty_language(a.alphabet)
-    if len(useful) == a.state_count:  # nothing to drop: the rows stay as they are
-        return Nfa._from_rows(a.alphabet, a.state_count, a.initial, a.finals, a._delta)
     new_ids = iter(range(len(useful)))  # increasing, so rows stay ascending
     remap = [next(new_ids) if q in useful else -1 for q in range(a.state_count)]  # -1: dropped
     rows = {}
@@ -748,8 +748,8 @@ def is_finite_language(a: Nfa) -> bool:
     t = trim(a)
     succ: dict[int, list[int]] = defaultdict(list)
     indegree = [0] * t.state_count
-    for src, _, dst in t.transitions:  # parallel edges are counted and peeled alike
-        succ[src].append(dst)
+    for src, dst in ((src, dst) for (src, _), row in t._delta.items() for dst in row):
+        succ[src].append(dst)  # edges on several symbols are counted and peeled alike
         indegree[dst] += 1
     ready = [q for q, d in enumerate(indegree) if d == 0]
     peeled = 0

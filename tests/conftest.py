@@ -62,20 +62,16 @@ def wide_random_nfa(rng):
 
 def count_builds(monkeypatch):
     """Record in the returned list every automaton built from now on,
-    through either constructor: `Nfa(...)` or `Nfa._from_rows`."""
+    through either constructor: `Nfa._from_rows` builds through `Nfa(...)`,
+    so both run `Nfa.__post_init__` once per automaton."""
     built = []
-    post_init, from_rows = Nfa.__post_init__, Nfa._from_rows.__func__
+    post_init = Nfa.__post_init__
 
     def counting_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counting_from_rows(cls, *args):
-        built.append(from_rows(cls, *args))
-        return built[-1]
-
     monkeypatch.setattr(Nfa, "__post_init__", counting_post_init)
-    monkeypatch.setattr(Nfa, "_from_rows", classmethod(counting_from_rows))
     return built
 
 

@@ -291,6 +291,9 @@ def test_trim_and_finiteness():
     assert t.state_count == 2 and equivalent(t, a)
     assert is_finite_language(Nfa.from_words({"ab", "ba"}, AB))
     assert not is_finite_language(Nfa.universal(AB))
+    # the only cycle is the self-loop on the greater target of a 2-target row
+    loop = Nfa(AB, 3, 0, frozenset({1}), frozenset({(0, "a", 2), (2, "a", 1), (2, "a", 2)}))
+    assert not is_finite_language(loop)
 
 
 def test_is_finite_language():

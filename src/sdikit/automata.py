@@ -402,20 +402,24 @@ def _step_all(subset: int, masks: Mapping[str, list[int]]) -> list[int]:
     return [reduce(or_, map(row.__getitem__, states), 0) for row in masks.values()]
 
 
+def _advance(states: int, row: list[int]) -> int:
+    """The successor bitset of a nonempty `states` along `row`, one
+    symbol's entry in an automaton's `_masks`."""
+    if states & (states - 1):
+        nxt = 0
+        for q in _bits(states):
+            nxt |= row[q]
+        return nxt
+    return row[states.bit_length() - 1]  # a single state, as in every run of a DFA
+
+
 def membership(a: Nfa, word: Word) -> bool:
     """True iff some run of `a` on `word` ends in a final state."""
     a.alphabet.check_word(word)
     masks = a._masks
     states = 1 << a.initial
     for sym in word:
-        row = masks[sym]
-        if states & (states - 1):
-            nxt = 0
-            for q in _bits(states):
-                nxt |= row[q]
-            states = nxt
-        else:  # a single state, as in every run of a DFA
-            states = row[states.bit_length() - 1]
+        states = _advance(states, masks[sym])
         if not states:
             return False
     return bool(states & a._final_bits)

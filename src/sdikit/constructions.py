@@ -11,9 +11,10 @@ for the general and m + mn + m for the alphabetic variant.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
-from .automata import Alphabet, InputError, Nfa, Word, _explore, membership, trim, union_all
+from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, trim, union_all
 from .automata import complement, enumerate_language, product_intersection, DEFAULT_STATE_CAP
 from .oracle import SdiVariant, unbordered
 
@@ -402,28 +403,44 @@ def _maximal_site_in_word(w: Word, a_: int, b_: int, c_: int, d_: int) -> bool:
 
 
 def _insertion_membership(variant: SdiVariant, w: Word, a: Nfa, b: Nfa) -> bool:
+    """Scan the sites w = w[:aa]·u·z·v·w[dd:] (u = w[aa:bb], z = w[bb:cc],
+    v = w[cc:dd]) for one valid for the variant.  A forward and a backward
+    run of `a` over w make each host test w[:bb] + w[cc:] one bitset AND; at
+    most |w| runs of `b`, one per start aa, give the ends dd of the accepted
+    inserted words w[aa:dd] as one bitset.  The site predicate, O(|w|^2),
+    runs only where both are accepted (O(|w|^4) sites at worst), and the
+    first valid site ends the scan."""
     _check_operands(a, b)
     a.alphabet.check_word(w)
-    n = len(w)
-    host_ok: dict[tuple[int, int], bool] = {}
-    ins_ok: dict[tuple[int, int], bool] = {}
+    n, masks = len(w), a._masks
+    reached = [1 << a.initial]  # reached[i]: the states of `a` after w[:i]
+    for sym in w:
+        reached.append(reached[-1] and _advance(reached[-1], masks[sym]))
+    alive = [0] * n + [a._final_bits]  # alive[j]: the states from which w[j:] is accepted
+    for j in range(n - 1, -1, -1):
+        alive[j] = _mask(q for q, succ in enumerate(masks[w[j]]) if succ & alive[j + 1])
+
+    @cache
+    def ends(aa: int) -> int:  # the bitset of the dd with w[aa:dd] in L(b)
+        states, found = 1 << b.initial, 0
+        for dd in range(aa + 1, n + 1):
+            states = _advance(states, b._masks[w[dd - 1]])
+            if not states:
+                break
+            if states & b._final_bits:
+                found |= 1 << dd
+        return found
+
     for bb in range(1, n):
         for cc in range(bb, n):
-            key = (bb, cc)
-            host_ok[key] = membership(a, w[:bb] + w[cc:])
-            if not host_ok[key]:
+            if not reached[bb] & alive[cc]:  # the host w[:bb] + w[cc:] is not in L(a)
                 continue
             for aa in range(bb):
-                for dd in range(cc + 1, n + 1):
+                for dd in _bits(ends(aa) & (-1 << (cc + 1))):
                     if variant is SdiVariant.MAXIMAL:
-                        if not _maximal_site_in_word(w, aa, bb, cc, dd):
-                            continue
-                    else:
-                        if not (unbordered(w[aa:bb]) and unbordered(w[cc:dd])):
-                            continue
-                    if (aa, dd) not in ins_ok:
-                        ins_ok[(aa, dd)] = membership(b, w[aa:dd])
-                    if ins_ok[(aa, dd)]:
+                        if _maximal_site_in_word(w, aa, bb, cc, dd):
+                            return True
+                    elif unbordered(w[aa:bb]) and unbordered(w[cc:dd]):
                         return True
     return False
 
@@ -431,13 +448,16 @@ def _insertion_membership(variant: SdiVariant, w: Word, a: Nfa, b: Nfa) -> bool:
 def max_sdi_membership(w: Word, a: Nfa, b: Nfa) -> bool:
     """Does maximal insertion of some word of L(b) into L(a) produce w?
 
-    Scans all O(|w|^4) decomposition boundaries; polynomial overall.
+    Polynomial: one forward and one backward run of `a` over w, at most
+    |w| runs of `b`, and the maximality check only at the sites whose host
+    and inserted words are accepted (see `_insertion_membership`).
     """
     return _insertion_membership(SdiVariant.MAXIMAL, w, a, b)
 
 
 def min_sdi_membership(w: Word, a: Nfa, b: Nfa) -> bool:
-    """Does minimal insertion of some word of L(b) into L(a) produce w?"""
+    """Does minimal insertion of some word of L(b) into L(a) produce w?
+    Same scan and cost as `max_sdi_membership`."""
     return _insertion_membership(SdiVariant.MINIMAL, w, a, b)
 
 

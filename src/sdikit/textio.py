@@ -149,5 +149,5 @@ def load_words(path: str) -> list[Word]:
 
 
 def serialize_words(words: list[Word]) -> str:
-    ordered = sorted(set(words), key=lambda w: (len(w), w))
+    ordered = sorted(sorted(set(words)), key=len)  # length-lex: the length sort is stable
     return "".join(format_word(w) + "\n" for w in ordered)

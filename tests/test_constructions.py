@@ -23,11 +23,14 @@ from sdikit import (
     scan_language,
     scan_member,
     sdi_nfa_direct,
+    sdi_strings,
     shuffle_nfa,
+    unbordered,
 )
 from sdikit.complexity import random_nfa
+from sdikit.constructions import _maximal_site_in_word
 
-from conftest import AB, ABC, all_words
+from conftest import AB, ABC, all_words, ba_blocks, wide_random_nfa
 
 GOLDEN_MAX = ["abacbab", "acbabab", "ababacbab"]
 
@@ -190,6 +193,13 @@ def test_membership_deciders_min_examples():
     host2 = Nfa.from_word("ab", ABC)
     ins2 = Nfa.from_word("acb", ABC)
     assert min_sdi_membership("acb", host2, ins2)
+    # the only sites have a bordered v (baab), or, reversed, a bordered u
+    for w, hosts, inserted in (
+        ("babaaabba", {"babbba", "baabb"}, {"bbaabb", "baaabb"}),
+        ("abbaaabab", {"abbbab", "bbaab"}, {"bbaabb", "bbaaab"}),
+    ):
+        host, ins = Nfa.from_words(hosts, AB), Nfa.from_words(inserted, AB)
+        assert max_sdi_membership(w, host, ins) and not min_sdi_membership(w, host, ins)
 
 
 def test_membership_deciders_against_oracle():
@@ -202,6 +212,108 @@ def test_membership_deciders_against_oracle():
         inserted = set(enumerate_language(b, len(w)))
         assert max_sdi_membership(w, a, b) == scan_member(SdiVariant.MAXIMAL, w, hosts, inserted)
         assert min_sdi_membership(w, a, b) == scan_member(SdiVariant.MINIMAL, w, hosts, inserted)
+
+
+DECIDERS = ((SdiVariant.MAXIMAL, max_sdi_membership), (SdiVariant.MINIMAL, min_sdi_membership))
+
+
+def _same_alphabet_pair(rng):
+    a, b = wide_random_nfa(rng), wide_random_nfa(rng)
+    while b.alphabet != a.alphabet:
+        b = wide_random_nfa(rng)
+    return a, b
+
+
+def test_membership_deciders_on_awkward_operands():
+    # initial state != 0, no final state, more than 64 states (bitsets
+    # past one machine word), dead and unreachable states; words of
+    # length 0-9, half of them general SDI outputs of sampled operand words
+    rng = random.Random(149)
+    seen = {"initial": 0, "no finals": 0, "wide": 0, True: 0, False: 0}
+    for _ in range(60):
+        a, b = _same_alphabet_pair(rng)
+        seen["initial"] += a.initial != 0
+        seen["no finals"] += not a.finals or not b.finals
+        seen["wide"] += max(a.state_count, b.state_count) > 64
+        hosts, inserted = set(enumerate_language(a, 9)), set(enumerate_language(b, 9))
+        sigma = "".join(a.alphabet)
+        words = [rand_word(rng, 0, 9, sigma) for _ in range(3)]
+        for x in rng.sample(sorted(hosts), min(3, len(hosts))):
+            for y in rng.sample(sorted(inserted), min(2, len(inserted))):
+                outputs = sorted(w for w in sdi_strings(x, y) if len(w) <= 9)
+                words += rng.sample(outputs, min(3, len(outputs)))
+        for w in words:
+            for variant, decider in DECIDERS:
+                expected = scan_member(variant, w, hosts, inserted)
+                assert decider(w, a, b) == expected, (variant, w, a, b)
+                seen[expected] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_membership_deciders_edge_words():
+    hosts = {"a", "b", "ab", "aab"}
+    a = Nfa.from_words(hosts, AB)
+    for b in (Nfa.universal(AB), Nfa.sigma_plus(AB), a):
+        inserted = set(enumerate_language(b, 1))
+        for w in ("", "a", "b"):
+            for variant, decider in DECIDERS:
+                assert decider(w, a, b) is scan_member(variant, w, hosts, inserted) is False
+        assert max_sdi_membership("aabb", a, Nfa.universal(AB))  # not False for every word
+
+
+def test_membership_deciders_reject_bad_input_like_membership():
+    a, b = Nfa.from_word("ab", AB), Nfa.universal(AB)
+    with pytest.raises(InputError) as plain:
+        membership(a, "abc")
+    for _, decider in DECIDERS:
+        with pytest.raises(InputError) as raised:
+            decider("abc", a, b)
+        assert str(raised.value) == str(plain.value)
+        # operand alphabets are checked before the word
+        for w in ("ab", "abx"):
+            with pytest.raises(InputError, match="operand alphabets differ"):
+                decider(w, a, Nfa.universal(ABC))
+
+
+def _per_site_membership(variant, w, a, b):
+    """The scan the polynomial deciders used before their prefix/suffix
+    bitsets: one membership run per host split (bb, cc) and per inserted
+    factor w[aa:dd].  A reference for words too long for the oracle."""
+    n = len(w)
+    for bb in range(1, n):
+        for cc in range(bb, n):
+            if not membership(a, w[:bb] + w[cc:]):
+                continue
+            for aa in range(bb):
+                for dd in range(cc + 1, n + 1):
+                    if variant is SdiVariant.MAXIMAL:
+                        site = _maximal_site_in_word(w, aa, bb, cc, dd)
+                    else:
+                        site = unbordered(w[aa:bb]) and unbordered(w[cc:dd])
+                    if site and membership(b, w[aa:dd]):
+                        return True
+    return False
+
+
+def test_membership_deciders_on_long_block_words():
+    # hosts (b a+)^2 t and the inserted (b a+)^2 %$, probed with words of
+    # three a-blocks, with the inserted tail and with an extra `$` no
+    # insertion can produce, up to 40 symbols
+    rng = random.Random(151)
+    ins = ba_blocks(2, "%$")
+    seen = {True: 0, False: 0}
+    for tail in ("$", "%$", "$%", "%"):
+        host = ba_blocks(2, tail)
+        for i in range(4):
+            lengths = rng.sample(range(1, 13), 3)
+            for end in ("%$", "%$$", "$%$", tail + "%$"):
+                w = "".join("b" + "a" * k for k in lengths) + end
+                assert len(w) <= 40
+                for variant, decider in DECIDERS:
+                    expected = _per_site_membership(variant, w, host, ins)
+                    assert decider(w, host, ins) == expected, (variant, w, tail)
+                    seen[expected] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_max_membership_implies_general_membership():

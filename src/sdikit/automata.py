@@ -6,13 +6,15 @@ every operation is a pure function of its inputs.  One routine,
 `_OnDemand._number`, numbers every reachable-state construction: the
 start state is 0, each new state takes the next id (and its finality)
 when first reached, at most `DEFAULT_STATE_CAP` by default.  `_explore`
-runs it eagerly from a LIFO worklist, `_OnDemand` as far as a subset
-walk steps it.  Transitions are stored once, as the successor rows
-`Nfa._delta` {(state, symbol): ascending targets} that `_explore` hands
-to `Nfa._from_rows` (`Nfa(...)` reads them off its triples).  Per-state
-walks read the rows; subset walks (membership, subset construction,
-enumeration, the shortest word, the inclusion/equivalence search) step
-int bitsets over `Nfa._masks`.
+runs it eagerly from a LIFO worklist and returns the automaton, its
+epsilon moves folded away; `_OnDemand` runs it as far as a subset walk
+steps it.  Transitions are stored once, as the successor rows
+`Nfa._delta` {(state, symbol): ascending targets}, which `_explore`
+builds itself and `Nfa(...)` reads off its triples; no other module
+reads `_delta` or builds from rows.  Per-state walks read the rows;
+subset walks (membership, subset construction, enumeration, the
+shortest word, the inclusion/equivalence search) step int bitsets over
+`Nfa._masks`.
 `determinize` and `complement` are one subset construction,
 `_subset_dfa`: `complement` takes any NFA, keeps only the reachable
 subsets, the empty one as the sink of the total DFA, and counts the
@@ -263,25 +265,29 @@ def _require_same_alphabet(alphabet: Alphabet, a: Nfa) -> Alphabet:
 
 
 def _explore(
+    alphabet: Alphabet,
     start: Hashable,
     expand: Callable[[Hashable], Iterable[tuple[str | None, Hashable]]],
     is_final: Callable[[Hashable], bool],
     cap: int = DEFAULT_STATE_CAP,
-) -> tuple[int, set[int], dict[tuple[int, str | None], tuple[int, ...]]]:
-    """Number the keys reachable from `start` and collect their moves:
-    the eager run of `_OnDemand`'s numbering, from a LIFO worklist.
+    cls: type[Nfa] = Nfa,
+) -> Nfa:
+    """The `cls` automaton over `alphabet` of the keys reachable from
+    `start`: the eager run of `_OnDemand`'s numbering, from a LIFO
+    worklist, with `start` as the initial state 0.
 
     `expand(key)` yields the (symbol, key) moves out of a key; a None
-    symbol is an internal epsilon move.  Serialized output depends on
-    the worklist order.  Returns (state_count, finals, rows) over ids,
-    the rows as `Nfa._from_rows` takes them.  Every id is reachable from
-    0, so the language is empty exactly when `finals` is.  Raises
+    symbol is an internal epsilon move, which `_eliminate_epsilon` folds
+    away before the automaton is built.  Serialized output depends on
+    the worklist order.  Every state is reachable from 0, so the
+    language is empty exactly when there is no final state.  Raises
     ResourceLimitError when more than `cap` keys are reached.
     """
     run = _OnDemand((), start, expand, is_final, cap)  # no alphabet: no mask rows
     ids, keys, number = run._ids, run._keys, run._number
     stack = [0]
     rows: dict = {}
+    epsilon = False
     while stack:
         sid = stack.pop()
         for sym, nxt in expand(keys[sid]):
@@ -293,6 +299,8 @@ def _explore(
             row = rows.get(key)
             if row is None:  # most rows of a subset DFA or a deletion product end here
                 rows[key] = (nid,)
+                if sym is None:
+                    epsilon = True
             elif row.__class__ is list:
                 row.append(nid)
             elif row[0] != nid:
@@ -300,12 +308,32 @@ def _explore(
     for key, row in rows.items():
         if row.__class__ is list:
             rows[key] = tuple(sorted(set(row)))
-    return len(keys), set(run._finals), rows
+    finals = set(run._finals)
+    if epsilon:
+        finals, rows = _eliminate_epsilon(alphabet, finals, rows)
+    return cls._from_rows(alphabet, len(keys), 0, finals, rows)
+
+
+def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tuple[set[int], dict]:
+    """Fold the epsilon rows (symbol None) of `rows` into the symbol rows
+    and finals of every state that has them; other states keep theirs."""
+    eps_adj = {src: row for (src, sym), row in rows.items() if sym is None}
+    new_rows = {key: row for key, row in rows.items() if key[1] is not None}
+    new_finals = set(finals)
+    for state in eps_adj:
+        closure = _reach([state], eps_adj)
+        if not closure.isdisjoint(finals):
+            new_finals.add(state)
+        for sym in alphabet:
+            targets = set().union(*[rows.get((q, sym), ()) for q in closure])
+            if targets:
+                new_rows[state, sym] = tuple(sorted(targets))
+    return new_finals, new_rows
 
 
 class _OnDemand:
-    """The construction that `_explore(start, expand, is_final)` builds,
-    built only as far as a subset walk steps it.
+    """The construction that `_explore(alphabet, start, expand,
+    is_final)` builds, built only as far as a subset walk steps it.
 
     `_number` is the one id rule: a key gets the next id, and its
     finality is decided, the first time a move reaches it, `start` being
@@ -439,10 +467,9 @@ def _subset_dfa(a: Nfa, flip: bool, cap: int) -> Dfa:
             if nxt or flip:
                 yield sym, nxt
 
-    count, final_ids, rows = _explore(
-        1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, cap
+    return _explore(
+        a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, cap, Dfa
     )
-    return Dfa._from_rows(a.alphabet, count, 0, final_ids, rows)
 
 
 def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -474,8 +501,7 @@ def product_intersection(a: Nfa, b: Nfa) -> Nfa:
             for p2 in a.successors(p, sym):
                 yield sym, p2
 
-    count, finals, rows = _explore(*_meet_parts(a.initial, moves, a.finals.__contains__, b))
-    return Nfa._from_rows(alphabet, count, 0, finals, rows)
+    return _explore(alphabet, *_meet_parts(a.initial, moves, a.finals.__contains__, b))
 
 
 def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -> tuple:
@@ -505,19 +531,22 @@ def union(a: Nfa, b: Nfa) -> Nfa:
 
 def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:
     """Single-initial union: a fresh initial state 0 mirrors the initial
-    state of every operand, whose states follow in operand order."""
-    trans: set[tuple[int, str, int]] = set()
-    finals: set[int] = set()
+    state of every operand, whose states follow in operand order (so the
+    rows of state 0 stay ascending)."""
+    rows: dict[tuple[int, str], tuple[int, ...]] = {}
+    finals: list[int] = []
     offset = 1
     for a in automata:
         _require_same_alphabet(alphabet, a)
-        trans.update((src + offset, sym, dst + offset) for src, sym, dst in a.transitions)
-        trans.update((0, sym, dst + offset) for src, sym, dst in a.transitions if src == a.initial)
-        finals.update(q + offset for q in a.finals)
+        for (src, sym), row in a._delta.items():
+            shifted = rows[src + offset, sym] = tuple(dst + offset for dst in row)
+            if src == a.initial:
+                rows[0, sym] = rows.get((0, sym), ()) + shifted
+        finals.extend(q + offset for q in a.finals)
         if a.initial in a.finals:
-            finals.add(0)
+            finals.append(0)
         offset += a.state_count
-    return Nfa(alphabet, offset, 0, finals, trans)
+    return Nfa._from_rows(alphabet, offset, 0, finals, rows)
 
 
 def _reachable(a: Nfa) -> set[int]:

@@ -16,6 +16,11 @@ from .automata import Alphabet, InputError, Nfa, Word, enumerate_language, membe
 from .constructions import insertion_nfa
 from .oracle import SdiVariant
 
+_RESTARTS = 30  # greedy passes of `fooling_set_search`, the first in candidate order
+_CANDIDATE_LIMIT = 400  # split pairs it draws from the accepted words
+_FINAL_DENSITY = 0.4  # chance that a state of `random_nfa` is final
+_AUDIT_ALPHABET = Alphabet.from_string("ab")  # the alphabet of the random operands of `size_audit`
+
 
 @dataclass(frozen=True)
 class FoolingSet:
@@ -81,8 +86,6 @@ def fooling_set_search(
     target: int,
     max_len: int,
     seed: int = 0,
-    restarts: int = 30,
-    candidate_limit: int = 400,
 ) -> FoolingSet | None:
     """Greedy seeded search for a fooling set of size >= target.
 
@@ -92,7 +95,7 @@ def fooling_set_search(
     """
     if target < 1:
         raise InputError("target must be positive")
-    pairs = _candidate_pairs(a, max_len, candidate_limit)
+    pairs = _candidate_pairs(a, max_len, _CANDIDATE_LIMIT)
     if not pairs:
         return None
 
@@ -107,7 +110,7 @@ def fooling_set_search(
         return not (in_lang(p[0] + q[1]) and in_lang(q[0] + p[1]))
 
     rng = random.Random(seed)
-    for attempt in range(restarts):
+    for attempt in range(_RESTARTS):
         order = list(pairs)
         if attempt:
             rng.shuffle(order)
@@ -140,7 +143,6 @@ def random_nfa(
     n_states: int,
     alphabet: Alphabet,
     density: float = 0.4,
-    final_density: float = 0.4,
 ) -> Nfa:
     """Random NFA with initial state 0 and at least one final state."""
     trans = {
@@ -150,7 +152,7 @@ def random_nfa(
         for dst in range(n_states)
         if rng.random() < density
     }
-    finals = {q for q in range(n_states) if rng.random() < final_density}
+    finals = {q for q in range(n_states) if rng.random() < _FINAL_DENSITY}
     if not finals:
         finals = {rng.randrange(n_states)}
     return Nfa(alphabet, n_states, 0, frozenset(finals), frozenset(trans))
@@ -162,7 +164,6 @@ def size_audit(
     n_range: tuple[int, int],
     samples: int,
     seed: int = 0,
-    alphabet: Alphabet | None = None,
 ) -> list[SizeAudit]:
     """State counts of random construction instances against the formula.
 
@@ -173,15 +174,14 @@ def size_audit(
         raise InputError(f"unknown construction {construction!r}; known: sdi, asdi")
     if m_range[0] < 1 or n_range[0] < 1 or m_range[1] < m_range[0] or n_range[1] < n_range[0]:
         raise InputError("state ranges must be nonempty and positive")
-    alphabet = alphabet or Alphabet.from_string("ab")
     rng = random.Random(seed)
     variant, bound_of = SdiVariant(construction), _BOUNDS[construction]
     audits: list[SizeAudit] = []
     for m in range(m_range[0], m_range[1] + 1):
         for n in range(n_range[0], n_range[1] + 1):
             for _ in range(samples):
-                left = random_nfa(rng, m, alphabet)
-                right = random_nfa(rng, n, alphabet)
+                left = random_nfa(rng, m, _AUDIT_ALPHABET)
+                right = random_nfa(rng, n, _AUDIT_ALPHABET)
                 built = insertion_nfa(variant, left, right)
                 audits.append(SizeAudit(construction, m, n, bound_of(m, n), built.state_count))
     return audits

@@ -31,8 +31,7 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     With require_insertion=True the inserted middle must be nonempty
     (the z phase cannot be skipped).
     """
-    count, finals, rows = _explore(*_sdi_parts(a, b, require_insertion))
-    return Nfa._from_rows(a.alphabet, count, 0, finals, rows)
+    return _explore(a.alphabet, *_sdi_parts(a, b, require_insertion))
 
 
 def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
@@ -104,8 +103,7 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     Three phases: host alone, insert automaton alone between the two
     single-letter joint steps, host alone again.
     """
-    count, finals, rows = _explore(*_asdi_parts(a, b, require_insertion))
-    return Nfa._from_rows(a.alphabet, count, 0, finals, rows)
+    return _explore(a.alphabet, *_asdi_parts(a, b, require_insertion))
 
 
 def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
@@ -154,41 +152,38 @@ def insertion_nfa(variant: SdiVariant, a: Nfa, b: Nfa) -> Nfa:
 # -- single fixed inserted word, maximal / minimal ------------------------
 
 
-def _push(window: str, sym: str, cap: int) -> str:
-    if cap <= 0:
-        return ""
-    return (window + sym)[-cap:]
+def _single_nfa(a: Nfa, y: Word, maximal: bool) -> Nfa:
+    """The maximal (or minimal) site-directed insertion of the word y into L(a).
 
-
-def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
-    """NFA for the maximal site-directed insertion of the word y into L(a).
-
-    Guesses the split y = y1·y2·y3 and the insertion site.  While reading
-    the prefix the state keeps a window of the last |y|-2 symbols, enough
-    to refuse splits where a nonempty host suffix extends the matched
-    prefix y1 into y1·y2.  After y, the first |y|-2 host symbols are
-    matched against the precomputed dangerous continuations of y3.
+    Guesses the split y = y1·y2·y3 and the insertion site; minimal guesses
+    only splits with unbordered y1 and y3 and needs no further check.
+    While reading the prefix, the maximal walk keeps a window of the last
+    |y|-2 symbols, enough to refuse splits where a nonempty host suffix
+    extends the matched prefix y1 into y1·y2.  After y, it matches the
+    first host symbols against the precomputed forbidden continuations
+    of y3 (a track of None: none is left).  A post key keeps the split
+    only in the maximal walk.
     """
     if len(y) < 2:
         raise InputError("inserted word must have length at least 2")
     a.alphabet.check_word(y)
     k = len(y)
-    window_cap = k - 2
-    decs = [(i, j) for i in range(1, k) for j in range(i, k)]
+    width = k - 2 if maximal else 0  # the window; (s + sym)[-0:] would keep all of s
+    splits = [
+        (i, j)
+        for i in range(1, k)
+        for j in range(i, k)
+        if maximal or (unbordered(y[:i]) and unbordered(y[j:]))
+    ]
+    forbidden: dict[tuple[int, int], frozenset[str]] = {}
+    for i, j in splits:
+        y23, y3 = y[i:], y[j:]
+        tails = [y23[-(len(y3) + pp) :] for pp in range(1, j - i + 1)] if maximal else []
+        forbidden[i, j] = frozenset(tail[len(y3) :] for tail in tails if tail[: len(y3)] == y3)
 
     def blocked_left(window: str, i: int, j: int) -> bool:
         limit = min(len(window), j - i)
         return any(window[-off:] + y[:i] == y[: off + i] for off in range(1, limit + 1))
-
-    forbidden: dict[tuple[int, int], frozenset[str]] = {}
-    for i, j in decs:
-        y23, y3 = y[i:], y[j:]
-        bad = set()
-        for pp in range(1, j - i + 1):
-            tail = y23[-(len(y3) + pp) :]
-            if tail[: len(y3)] == y3:
-                bad.add(tail[len(y3) :])
-        forbidden[(i, j)] = frozenset(bad)
 
     def expand(key):
         phase = key[0]
@@ -196,109 +191,65 @@ def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
             _, p, window = key
             for sym in a.alphabet:
                 a_moves = a.successors(p, sym)
+                shifted = (window + sym)[-width:] if width else ""
                 for p2 in a_moves:
-                    yield sym, ("pre", p2, _push(window, sym, window_cap))
+                    yield sym, ("pre", p2, shifted)
                 if sym == y[0]:
-                    for i, j in decs:
-                        if blocked_left(window, i, j):
+                    for i, j in splits:
+                        if window and blocked_left(window, i, j):
                             continue
                         for p2 in a_moves:
                             yield sym, ("y", (i, j), 1, p2)
         elif phase == "y":
-            _, dec, pos, p = key
-            i, j = dec
+            _, split, pos, p = key
+            i, j = split
             sym = y[pos]
-            frozen = i <= pos < j
-            targets = (p,) if frozen else a.successors(p, sym)
+            targets = (p,) if i <= pos < j else a.successors(p, sym)
             for p2 in targets:
                 if pos + 1 == k:
-                    start_track = "" if forbidden[dec] else None
-                    yield sym, ("post", dec, p2, start_track)
+                    track = "" if forbidden[split] else None
+                    yield sym, ("post", split if maximal else None, p2, track)
                 else:
-                    yield sym, ("y", dec, pos + 1, p2)
+                    yield sym, ("y", split, pos + 1, p2)
         else:  # post
-            _, dec, p, track = key
-            i, j = dec
+            _, split, p, track = key
             for sym in a.alphabet:
-                for p2 in a.successors(p, sym):
-                    if track is None:
-                        yield sym, ("post", dec, p2, None)
-                        continue
+                nxt = None
+                if track is not None:
                     extended = track + sym
-                    if extended in forbidden[dec]:
+                    if extended in forbidden[split]:
                         continue
-                    nxt = None if len(extended) >= j - i else extended
-                    yield sym, ("post", dec, p2, nxt)
+                    nxt = None if len(extended) >= split[1] - split[0] else extended
+                for p2 in a.successors(p, sym):
+                    yield sym, ("post", split, p2, nxt)
 
-    count, finals, rows = _explore(
-        ("pre", a.initial, ""), expand, lambda key: key[0] == "post" and key[2] in a.finals
-    )
-    return trim(Nfa._from_rows(a.alphabet, count, 0, finals, rows))
+    start = ("pre", a.initial, "")
+    return trim(_explore(a.alphabet, start, expand, lambda key: key[0] == "post" and key[2] in a.finals))
+
+
+def max_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
+    """NFA for the maximal site-directed insertion of the word y into L(a)."""
+    return _single_nfa(a, y, True)
 
 
 def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
-    """NFA for the minimal site-directed insertion of the word y into L(a).
-
-    Only splits with unbordered matched prefix and suffix are guessed;
-    no further context checks are needed.
-    """
-    if len(y) < 2:
-        raise InputError("inserted word must have length at least 2")
-    a.alphabet.check_word(y)
-    k = len(y)
-    decs = [
-        (i, j)
-        for i in range(1, k)
-        for j in range(i, k)
-        if unbordered(y[:i]) and unbordered(y[j:])
-    ]
-
-    def expand(key):
-        phase = key[0]
-        if phase == "pre":
-            _, p = key
-            for sym in a.alphabet:
-                a_moves = a.successors(p, sym)
-                for p2 in a_moves:
-                    yield sym, ("pre", p2)
-                if sym == y[0]:
-                    for dec in decs:
-                        for p2 in a_moves:
-                            yield sym, ("y", dec, 1, p2)
-        elif phase == "y":
-            _, dec, pos, p = key
-            i, j = dec
-            sym = y[pos]
-            frozen = i <= pos < j
-            targets = (p,) if frozen else a.successors(p, sym)
-            for p2 in targets:
-                if pos + 1 == k:
-                    yield sym, ("post", p2)
-                else:
-                    yield sym, ("y", dec, pos + 1, p2)
-        else:  # post
-            _, p = key
-            for sym in a.alphabet:
-                for p2 in a.successors(p, sym):
-                    yield sym, ("post", p2)
-
-    count, finals, rows = _explore(
-        ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
-    )
-    return trim(Nfa._from_rows(a.alphabet, count, 0, finals, rows))
+    """NFA for the minimal site-directed insertion of the word y into L(a)."""
+    return _single_nfa(a, y, False)
 
 
 def regular_max_sdi_finite(a: Nfa, words: set[Word] | list[Word], variant: SdiVariant) -> Nfa:
     """L(a) max/min-inserted with each word of a finite language.
 
-    Words shorter than 2 admit no nontrivial outfix and are skipped.
+    Every word is checked against the alphabet first; words shorter
+    than 2 admit no nontrivial outfix and are then skipped.
     """
-    single = {SdiVariant.MAXIMAL: max_sdi_single_nfa, SdiVariant.MINIMAL: min_sdi_single_nfa}
-    try:
-        build = single[variant]
-    except KeyError:
-        raise InputError("variant must be maximal or minimal") from None
-    parts = [build(a, y) for y in sorted(set(words), key=lambda w: (len(w), w)) if len(y) >= 2]
+    if variant not in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+        raise InputError("variant must be maximal or minimal")
+    build = max_sdi_single_nfa if variant is SdiVariant.MAXIMAL else min_sdi_single_nfa
+    ordered = sorted(set(words), key=lambda w: (len(w), w))
+    for y in ordered:
+        a.alphabet.check_word(y)
+    parts = [build(a, y) for y in ordered if len(y) >= 2]
     return trim(union_all(parts, a.alphabet))
 
 

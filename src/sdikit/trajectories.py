@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import Alphabet, InputError, Nfa, _explore, _reach, trim
+from .automata import Alphabet, InputError, Nfa, _explore, trim
 
 SHUFFLE_ALPHABET = Alphabet.from_string("01s")
 DELETION_ALPHABET = Alphabet.from_string("ids")
@@ -155,17 +155,15 @@ def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
                         for r2 in sync_steps:
                             yield sym, (p2, q2, r2)
 
-    count, finals, rows = _explore(
-        (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
-    )
-    return trim(Nfa._from_rows(alphabet, count, 0, finals, rows))
+    return trim(_explore(alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     """NFA for deleting L(b) from L(a) along trajectories L(t).
 
-    d-steps consume no input symbol, so the product is built with internal
-    epsilon moves which are eliminated before returning.
+    d-steps consume no input symbol, so the product is explored with
+    internal epsilon moves, which `_explore` folds away before it builds
+    the automaton.
     """
     if t.kind is not TrajectoryKind.DELETION:
         raise InputError("deletion_nfa needs a deletion-kind trajectory language")
@@ -192,11 +190,7 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
                         for r2 in del_steps:
                             yield None, (p2, q2, r2)
 
-    count, finals, rows = _explore(
-        (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
-    )
-    finals, rows = _eliminate_epsilon(alphabet, finals, rows)
-    return trim(Nfa._from_rows(alphabet, count, 0, finals, rows))
+    return trim(_explore(alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
 
 
 def reversed_deletion(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -208,19 +202,3 @@ def _all_final(a: Nfa, b: Nfa, traj: Nfa):
     """Finality of a product key (state of a, state of b, state of traj)."""
     return lambda key: key[0] in a.finals and key[1] in b.finals and key[2] in traj.finals
 
-
-def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tuple[set[int], dict]:
-    """Fold the epsilon rows (symbol None) of `rows` into the symbol rows
-    and finals of every state that has them; other states keep theirs."""
-    eps_adj = {src: row for (src, sym), row in rows.items() if sym is None}
-    new_rows = {key: row for key, row in rows.items() if key[1] is not None}
-    new_finals = set(finals)
-    for state in eps_adj:
-        closure = _reach([state], eps_adj)
-        if not closure.isdisjoint(finals):
-            new_finals.add(state)
-        for sym in alphabet:
-            targets = set().union(*[rows.get((q, sym), ()) for q in closure])
-            if targets:
-                new_rows[state, sym] = tuple(sorted(targets))
-    return new_finals, new_rows

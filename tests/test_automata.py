@@ -1,8 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from sdikit import automata, trajectories
+from sdikit import automata
 from sdikit import (
     Alphabet,
     Dfa,
@@ -516,7 +518,7 @@ def test_on_demand_cap_boundary():
     with pytest.raises(ResourceLimitError) as on_demand:
         number_all(total - 1)
     with pytest.raises(ResourceLimitError) as built:
-        automata._explore(*_sdi_parts(a, a), cap=total - 1)
+        automata._explore(a.alphabet, *_sdi_parts(a, a), cap=total - 1)
     assert str(on_demand.value) == str(built.value) == f"exploration exceeded {total - 1} states"
     assert on_demand.value.details == built.value.details == {"cap": total - 1}
 
@@ -627,16 +629,35 @@ def test_rows_store_matches_the_triples(monkeypatch):
             pass
     assert max(c.state_count for c in built) > 64 and any(isinstance(c, Dfa) for c in built)
     # a deletion product whose epsilon rows are folded away
-    eliminate, carried = trajectories._eliminate_epsilon, []
+    eliminate, carried = automata._eliminate_epsilon, []
 
     def spy(alphabet, finals, rows):
         carried.append(any(sym is None for _, sym in rows))
         return eliminate(alphabet, finals, rows)
 
-    monkeypatch.setattr(trajectories, "_eliminate_epsilon", spy)
+    monkeypatch.setattr(automata, "_eliminate_epsilon", spy)
     for _ in range(10):
         built.append(_deletion_t1(rng))
     assert all(carried) and all(c.finals for c in built[-10:])
     for c in built:
         delta, masks = c._delta, c._masks
         assert (delta, masks) == _store_from_triples(c)
+
+
+def test_only_automata_names_the_rows():
+    """No other module builds from, reads or folds the successor rows."""
+    private = {"_from_rows", "_delta", "_eliminate_epsilon"}
+    modules = sorted(Path(automata.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "automata.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                named.update(alias.name for alias in node.names)
+        assert not named & private, (path.name, sorted(named & private))

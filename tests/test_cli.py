@@ -73,6 +73,30 @@ def test_op_maxmin_rejects_mismatched_alphabets(files, capsys, variant):
     assert "operand alphabets differ" in capsys.readouterr().err
 
 
+def _foreign_words(files, word):
+    path = files["tmp"] + "/foreign.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(word + "\n")
+    return path
+
+
+@pytest.mark.parametrize("word", ["c", "cc"])
+@pytest.mark.parametrize("variant", ["maxsdi", "minsdi", "sdi"])
+def test_op_finite_words_reject_foreign_symbols(files, capsys, variant, word):
+    argv = ["op", "--variant", variant, files["lab.nfa"], "--words", _foreign_words(files, word)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "symbol 'c' not in alphabet 'ab'" in captured.err
+
+
+@pytest.mark.parametrize("word", ["c", "cc"])
+@pytest.mark.parametrize("predicate", ["closed-finite-max", "closed-finite-min"])
+def test_decide_closed_finite_rejects_foreign_symbols(files, capsys, predicate, word):
+    assert main(["decide", predicate, files["lab.nfa"], _foreign_words(files, word)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "symbol 'c' not in alphabet 'ab'" in captured.err
+
+
 def test_bounded_probes_never_call_the_oracle(files, capsys, monkeypatch):
     host = ba_blocks(2, "$")
     inserted = ba_blocks(2, "%$")

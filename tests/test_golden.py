@@ -14,7 +14,10 @@ built from operands of at most 9 states) was printed the same way at
 the commit before the serializer streamed its rows from the successor
 table.  The two `complement_*` digests were printed from
 `complement(determinize(x))` at the commit before `complement` took any
-NFA through the one subset construction.  Regenerate them only for a
+NFA through the one subset construction.  The six `max_sdi_single_*` /
+`min_sdi_single_*` digests with a suffix and `regular_min_sdi_finite`
+were printed at the commit before the maximal and minimal single-word
+constructions became one walk.  Regenerate them only for a
 deliberate change of numbering.
 """
 
@@ -92,6 +95,16 @@ CASES = {
     "regular_max_sdi_finite": lambda: regular_max_sdi_finite(
         _rand(29, 3, 0.5), ["ab", "aab", "bab"], SdiVariant.MAXIMAL
     ),
+    # |y| = 2 keeps an empty window; aaaa and aabaa are bordered
+    "max_sdi_single_ab": lambda: max_sdi_single_nfa(_rand(34, 4, 0.4), "ab"),
+    "max_sdi_single_aaaa": lambda: max_sdi_single_nfa(_rand(33, 4, 0.4), "aaaa"),
+    "max_sdi_single_aabaa": lambda: max_sdi_single_nfa(_rand(33, 4, 0.4), "aabaa"),
+    "min_sdi_single_ab": lambda: min_sdi_single_nfa(_rand(34, 4, 0.4), "ab"),
+    "min_sdi_single_aaaa": lambda: min_sdi_single_nfa(_rand(33, 4, 0.4), "aaaa"),
+    "min_sdi_single_aabaa": lambda: min_sdi_single_nfa(_rand(33, 4, 0.4), "aabaa"),
+    "regular_min_sdi_finite": lambda: regular_max_sdi_finite(
+        _rand(37, 3, 0.5), ["ab", "aab", "bab", "aaaa", "aabaa"], SdiVariant.MINIMAL
+    ),
     "finite_into_regular_max": lambda: finite_into_regular(
         SdiVariant.MAXIMAL, ["abab", "aab"], _rand(30, 4)
     ),
@@ -126,6 +139,13 @@ GOLDEN = {
     "max_sdi_single": "c18eeb63d1c9a2852e26fdc93047c0150e19e6566e3a437c558907e1dbc391a9",
     "min_sdi_single": "73e503a6f49aa1dd37320152541cd56c9ab022864aa5b189e61aa20f41a32dfe",
     "regular_max_sdi_finite": "192da63dad1e0d9dacf2a7bada99b1ef2ff61e3250f02d326a1e709e6b032c4f",
+    "max_sdi_single_ab": "7d8ff2c63db9442029bd53b756f7885ec2df4db2f82cd54acb5040c516789d33",
+    "max_sdi_single_aaaa": "33ba66f374bd02a3773c70a8591b961632479fa577753d273c7deaedeec31529",
+    "max_sdi_single_aabaa": "9eb407a8190752e0c19fecd29714037172aac7d3d4030dd6fccdab46ea1c7335",
+    "min_sdi_single_ab": "7d8ff2c63db9442029bd53b756f7885ec2df4db2f82cd54acb5040c516789d33",
+    "min_sdi_single_aaaa": "7a31cbf7c15f016745a93d096e62b9d5907ec47750cb9716bdf638d5f23de48f",
+    "min_sdi_single_aabaa": "fe66d4913cbb09ab0cacea612a70b9beebadb7b7ac61ae5594ac0f46cf2fd1e4",
+    "regular_min_sdi_finite": "b1e5a05278ca5694c30ed8687212372bdd20d4b6c5a2ba5d1ef39c0c3e56c611",
     "finite_into_regular_max": "0f21a1b908080a333afdb4d74ab30cf13516520271ec2fa1d1092c6205d136b1",
     "finite_into_regular_min": "e0ad80686413e2a86042f34c863a29996dda2b25d979ca119428fc1429478bfd",
     "equation_candidate": "0aa5e80c116f29923785979c39904d3b26a3a39b826fc63c07633b0c31bca9e7",

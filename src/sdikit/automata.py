@@ -279,8 +279,10 @@ def _explore(
     `expand(key)` yields the (symbol, key) moves out of a key; a None
     symbol is an internal epsilon move, which `_eliminate_epsilon` folds
     away before the automaton is built.  Serialized output depends on
-    the worklist order.  Every state is reachable from 0, so the
-    language is empty exactly when there is no final state.  Raises
+    the worklist order.  Every key is reachable from 0 before the
+    epsilon moves are folded, so the language is empty exactly when
+    there is no final state; a state entered only by epsilon moves
+    keeps its id but is unreachable afterwards.  Raises
     ResourceLimitError when more than `cap` keys are reached.
     """
     run = _OnDemand((), start, expand, is_final, cap)  # no alphabet: no mask rows

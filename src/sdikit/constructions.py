@@ -196,7 +196,7 @@ def _single_nfa(a: Nfa, y: Word, maximal: bool) -> Nfa:
                     yield sym, ("pre", p2, shifted)
                 if sym == y[0]:
                     for i, j in splits:
-                        if window and blocked_left(window, i, j):
+                        if blocked_left(window, i, j):
                             continue
                         for p2 in a_moves:
                             yield sym, ("y", (i, j), 1, p2)

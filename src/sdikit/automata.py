@@ -400,7 +400,7 @@ class _OnDemand:
         return _step_all(subset, self._masks)
 
 
-def _reach(seeds: Iterable[int], adjacency: Mapping[int, Iterable[int]]) -> set[int]:
+def _reach(seeds: Iterable[Hashable], adjacency: Mapping[Hashable, Iterable[Hashable]]) -> set:
     """The seeds and every node reachable from them along `adjacency`."""
     seen = set(seeds)
     stack = list(seen)

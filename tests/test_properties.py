@@ -1,13 +1,26 @@
 """Property-based cross-layer tests (hypothesis, derandomized profile
 from conftest.py)."""
 
+from collections import defaultdict
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st
 
-from sdikit import Nfa, SdiVariant, enumerate_language, max_sdi_membership, min_sdi_membership, scan_member, sdi_strings
+from sdikit import (
+    Nfa,
+    SdiVariant,
+    delete_on_trajectory,
+    deletion_nfa,
+    enumerate_language,
+    max_sdi_membership,
+    min_sdi_membership,
+    named_trajectory,
+    scan_member,
+    sdi_strings,
+)
 
 from conftest import AB
 
@@ -33,3 +46,31 @@ def test_max_min_deciders_equal_the_oracle_scan(a, b, data):
     hosts, inserted = set(enumerate_language(a, len(w))), set(enumerate_language(b, len(w)))
     assert max_sdi_membership(w, a, b) == scan_member(SdiVariant.MAXIMAL, w, hosts, inserted)
     assert min_sdi_membership(w, a, b) == scan_member(SdiVariant.MINIMAL, w, hosts, inserted)
+
+
+def _trajectory_words(name, max_len):
+    """The words of a named deletion trajectory up to `max_len`, by
+    (length, number of deleted-word symbols they consume)."""
+    words = defaultdict(list)
+    for t in enumerate_language(named_trajectory(name).language.automaton, max_len):
+        words[len(t), len(t) - t.count("i")].append(t)
+    return words
+
+
+_DELETION_WORDS = {name: _trajectory_words(name, 6) for name in ("T1", "T1a", "T2", "T2a")}
+
+
+@given(small_nfas(), st.frozensets(st.text("ab", max_size=3), max_size=4), st.sampled_from(sorted(_DELETION_WORDS)))
+def test_deletion_equals_the_trajectory_oracle(a, deleted, name):
+    # L(b) is finite, so an output of length <= 3 comes from a host of
+    # length <= 3 + 3: the bounded comparison is exhaustive
+    got = enumerate_language(deletion_nfa(a, Nfa.from_words(deleted, AB), named_trajectory(name).language), 3)
+    trajectories = _DELETION_WORDS[name]
+    expected = {
+        out
+        for x in enumerate_language(a, 6)
+        for y in deleted
+        for t in trajectories[len(x), len(y)]
+        if (out := delete_on_trajectory(x, y, t)) is not None and len(out) <= 3
+    }
+    assert set(got) == expected

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from sdikit import automata
 from sdikit import (
     InputError,
     Nfa,
@@ -11,6 +12,7 @@ from sdikit import (
     TrajectoryLanguage,
     asdi_nfa_direct,
     bounded_language_op,
+    complement,
     delete_on_trajectory,
     deletion_nfa,
     enumerate_language,
@@ -23,11 +25,13 @@ from sdikit import (
     scan_language,
     sdi_nfa_direct,
     shuffle_nfa,
+    trim,
 )
 from sdikit.complexity import random_nfa
-from sdikit.trajectories import DELETION_ALPHABET, SHUFFLE_ALPHABET
+from sdikit.textio import serialize_automaton
+from sdikit.trajectories import DELETION_ALPHABET, NAMED_TRAJECTORIES, SHUFFLE_ALPHABET, _all_final
 
-from conftest import AB, all_words
+from conftest import AB, all_words, blowup, wide_random_nfa
 
 
 def test_named_trajectory_membership():
@@ -232,3 +236,120 @@ def test_reversed_deletion_swaps_arguments():
     for _ in range(8):
         a, b = random_nfa(rng, 3, AB), random_nfa(rng, 3, AB)
         assert equivalent(reversed_deletion(a, b, t2), deletion_nfa(b, a, t2))
+
+
+def _full_shuffle(a, b, traj):
+    """`shuffle_nfa` as a walk over every move of b and traj, dead pairs
+    included: the reference for the live-pair table."""
+
+    def expand(key):
+        p, q, r = key
+        zero_steps, one_steps, sync_steps = (traj.successors(r, label) for label in "01s")
+        for sym in a.alphabet:
+            for p2 in a.successors(p, sym):
+                for r2 in zero_steps:
+                    yield sym, (p2, q, r2)
+            for q2 in b.successors(q, sym):
+                for r2 in one_steps:
+                    yield sym, (p, q2, r2)
+            for p2 in a.successors(p, sym):
+                for q2 in b.successors(q, sym):
+                    for r2 in sync_steps:
+                        yield sym, (p2, q2, r2)
+
+    return trim(automata._explore(a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
+
+
+def _full_deletion(a, b, traj):
+    """`deletion_nfa` as a walk over every move of b and traj, dead pairs
+    included: the reference for the live-pair table."""
+
+    def expand(key):
+        p, q, r = key
+        keep_steps, del_steps, sync_steps = (traj.successors(r, label) for label in "ids")
+        for sym in a.alphabet:
+            for p2 in a.successors(p, sym):
+                for r2 in keep_steps:
+                    yield sym, (p2, q, r2)
+                for q2 in b.successors(q, sym):
+                    for r2 in sync_steps:
+                        yield sym, (p2, q2, r2)
+                for q2 in b.successors(q, sym):
+                    for r2 in del_steps:
+                        yield None, (p2, q2, r2)
+
+    return trim(automata._explore(a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
+
+
+def _random_trajectory(rng, alphabet):
+    """A random trajectory automaton, any initial state, possibly no final
+    state, with a state that reaches no final state."""
+    n = rng.randint(1, 4)
+    trans = {(src, label, rng.randrange(n + 1)) for src in range(n) for label in alphabet if rng.random() < 0.6}
+    trans |= {(n, label, n) for label in alphabet}  # n: dead
+    finals = rng.sample(range(n), rng.choice([0, 1, 1, 2]) if n > 1 else 1)
+    return TrajectoryLanguage(
+        TrajectoryKind.SHUFFLE if alphabet is SHUFFLE_ALPHABET else TrajectoryKind.DELETION,
+        Nfa(alphabet, n + 1, rng.randrange(n), frozenset(finals), frozenset(trans)),
+    )
+
+
+def _count_numbered(monkeypatch):
+    """Record in the returned list every key `_OnDemand._number` numbers
+    from now on (so every key `_explore` numbers)."""
+    number, numbered = automata._OnDemand._number, []
+
+    def counting(self, key):
+        numbered.append(key)
+        return number(self, key)
+
+    monkeypatch.setattr(automata._OnDemand, "_number", counting)
+    return numbered
+
+
+@pytest.mark.parametrize(
+    "build,reference,alphabet",
+    [(shuffle_nfa, _full_shuffle, SHUFFLE_ALPHABET), (deletion_nfa, _full_deletion, DELETION_ALPHABET)],
+)
+def test_live_pair_table_keeps_the_full_product_bytes(monkeypatch, build, reference, alphabet):
+    rng = random.Random(101)
+    numbered = _count_numbered(monkeypatch)
+    named = [named_trajectory(name).language for name in NAMED_TRAJECTORIES]
+    named = [t for t in named if t.automaton.alphabet == alphabet]
+    pruned, sizes, wide = 0, set(), False
+    for _ in range(20):
+        a, b = wide_random_nfa(rng), wide_random_nfa(rng)
+        while b.state_count > 6:  # b is the small factor, as in the equation candidate
+            b = wide_random_nfa(rng)
+        b = Nfa(a.alphabet, b.state_count, b.initial, b.finals,
+                frozenset(t for t in b.transitions if t[1] in a.alphabet))
+        t = rng.choice(named) if rng.random() < 0.3 else _random_trajectory(rng, alphabet)
+        numbered.clear()
+        expected = reference(a, b, t.automaton)
+        full = len(numbered)
+        numbered.clear()
+        assert serialize_automaton(build(a, b, t)) == serialize_automaton(expected)
+        assert len(numbered) <= full
+        pruned += len(numbered) < full
+        sizes.add(bool(expected.finals))
+        wide |= a.state_count > 64
+    assert pruned and sizes == {False, True} and wide
+
+
+def test_deletion_numbers_keys_over_live_pairs_only(monkeypatch):
+    host, deleted = complement(blowup(6)), Nfa.from_words(["ab", "ba", "abb"], AB)
+    numbered, counts = _count_numbered(monkeypatch), {}
+    for name in ("T1", "T2", "T1a", "T2a"):
+        traj = named_trajectory(name).language
+        numbered.clear()
+        full = _full_deletion(host, deleted, traj.automaton)
+        full_keys = len(numbered)
+        numbered.clear()
+        result = deletion_nfa(host, deleted, traj)
+        counts[name] = [full_keys, len(numbered), full.state_count, result.state_count]
+    assert counts == {
+        "T1": [880, 784, 752, 752],
+        "T2": [875, 613, 500, 500],
+        "T1a": [720, 672, 640, 640],
+        "T2a": [838, 578, 497, 497],
+    }

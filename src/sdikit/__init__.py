@@ -29,7 +29,6 @@ from .automata import (
     product_intersection,
     shortest_word,
     trim,
-    union,
     union_all,
 )
 from .complexity import (
@@ -95,8 +94,6 @@ from .trajectories import (
     TrajectoryLanguage,
     deletion_nfa,
     named_trajectory,
-    plain_shuffle_trajectories,
-    reversed_deletion,
     shuffle_nfa,
 )
 

@@ -526,11 +526,6 @@ def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -
     return (start, b.initial), meet, lambda pair: pair[1] in b.finals and is_final(pair[0])
 
 
-def union(a: Nfa, b: Nfa) -> Nfa:
-    """Single-initial union of two automata, numbered as `union_all`."""
-    return union_all([a, b], a.alphabet)
-
-
 def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:
     """Single-initial union: a fresh initial state 0 mirrors the initial
     state of every operand, whose states follow in operand order (so the

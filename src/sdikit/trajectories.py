@@ -5,7 +5,10 @@ from the left operand, 1 from the right, s synchronizes one matching
 symbol of both.  A deletion trajectory over {i,d,s} rebuilds the left
 operand while deleting the right: i keeps a symbol, d deletes a matched
 symbol, s keeps a matched symbol.  Both operations preserve regularity
-for regular trajectory sets, via product constructions.
+for regular trajectory sets: each is one product walk (`_product`) over
+(state of the left operand, state of the right, trajectory state), and
+`shuffle_nfa` and `deletion_nfa` differ only in the step rule they hand
+it.
 """
 
 from __future__ import annotations
@@ -81,151 +84,108 @@ def _two_sync_blocks(loop_sym: str, mid_sym: str, alphabet: Alphabet, plus: bool
     return Nfa(alphabet, 3, 0, frozenset({2}), frozenset(trans))
 
 
-_NAMED_BUILDERS = {
+_NAMED_SHAPES = {
     # shuffle trajectories guiding insertion: x-symbols on 0, y on 1
-    "T_sdi": lambda: TrajectoryLanguage(
-        TrajectoryKind.SHUFFLE, _two_sync_blocks("0", "1", SHUFFLE_ALPHABET, plus=True)
-    ),
-    "T_asdi": lambda: TrajectoryLanguage(
-        TrajectoryKind.SHUFFLE, _two_sync_blocks("0", "1", SHUFFLE_ALPHABET, plus=False)
-    ),
+    "T_sdi": (TrajectoryKind.SHUFFLE, "0", "1", True),
+    "T_asdi": (TrajectoryKind.SHUFFLE, "0", "1", False),
     # deletion trajectories for the two inverse directions
-    "T1": lambda: TrajectoryLanguage(
-        TrajectoryKind.DELETION, _two_sync_blocks("i", "d", DELETION_ALPHABET, plus=True)
-    ),
-    "T1a": lambda: TrajectoryLanguage(
-        TrajectoryKind.DELETION, _two_sync_blocks("i", "d", DELETION_ALPHABET, plus=False)
-    ),
-    "T2": lambda: TrajectoryLanguage(
-        TrajectoryKind.DELETION, _two_sync_blocks("d", "i", DELETION_ALPHABET, plus=True)
-    ),
-    "T2a": lambda: TrajectoryLanguage(
-        TrajectoryKind.DELETION, _two_sync_blocks("d", "i", DELETION_ALPHABET, plus=False)
-    ),
+    "T1": (TrajectoryKind.DELETION, "i", "d", True),
+    "T1a": (TrajectoryKind.DELETION, "i", "d", False),
+    "T2": (TrajectoryKind.DELETION, "d", "i", True),
+    "T2a": (TrajectoryKind.DELETION, "d", "i", False),
 }
 
-NAMED_TRAJECTORIES = tuple(sorted(_NAMED_BUILDERS))
+NAMED_TRAJECTORIES = tuple(sorted(_NAMED_SHAPES))
 
 
 def named_trajectory(name: str) -> NamedTrajectory:
     try:
-        builder = _NAMED_BUILDERS[name]
+        kind, loop, mid, plus = _NAMED_SHAPES[name]
     except KeyError:
         raise InputError(
             f"unknown trajectory {name!r}; known: {', '.join(NAMED_TRAJECTORIES)}"
         ) from None
-    return NamedTrajectory(name, builder())
-
-
-def plain_shuffle_trajectories() -> TrajectoryLanguage:
-    """All of {0,1}*: ordinary (unsynchronized) shuffle."""
-    trans = {(0, "0", 0), (0, "1", 0)}
-    return TrajectoryLanguage(
-        TrajectoryKind.SHUFFLE, Nfa(SHUFFLE_ALPHABET, 1, 0, frozenset({0}), frozenset(trans))
-    )
+    automaton = _two_sync_blocks(loop, mid, _KIND_ALPHABETS[kind], plus)
+    return NamedTrajectory(name, TrajectoryLanguage(kind, automaton))
 
 
 def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     """NFA for the semantic shuffle of L(a) and L(b) on trajectories L(t).
 
-    Product over reachable triples (state of a, state of b, state of t):
-    a 0-step advances a and t, a 1-step advances b and t, an s-step
-    advances all three on the same input symbol.  The moves of b and t
-    come from a table of their live pairs (`_live_moves`), built once per
-    call: for each pair (q, r) and symbol, the targets (q, r2) of the
-    0-steps, then (q2, r2) of the 1-steps, then of the s-steps, in the
-    order the product yields them.  Keys over dead pairs reach no final
-    key and are never numbered; the other keys keep their relative ids,
-    so the result is byte for byte the one the full product trims to
-    (see `_live_moves`).
+    A 0-step reads a symbol of a, a 1-step one of b and an s-step the
+    same symbol of both; each advances t.  Built by `_product`, whose
+    groups here are the 0-steps (a advances), the 1-steps (a stays) and
+    the s-steps (a advances).
     """
-    if t.kind is not TrajectoryKind.SHUFFLE:
-        raise InputError("shuffle_nfa needs a shuffle-kind trajectory language")
-    alphabet = a.alphabet
-    if b.alphabet != alphabet:
-        raise InputError("operand alphabets differ")
-    traj = t.automaton
 
     def steps(q: int, r: int, sym: str):
-        zero, one, sync = (traj.successors(r, label) for label in "01s")
+        zero, one, sync = (t.automaton.successors(r, label) for label in "01s")
         targets = b.successors(q, sym)
-        return (
-            [(q, r2) for r2 in zero],
-            [(q2, r2) for q2 in targets for r2 in one],
-            [(q2, r2) for q2 in targets for r2 in sync],
-        )
+        return [
+            (True, [(sym, q, r2) for r2 in zero]),
+            (False, [(sym, q2, r2) for q2 in targets for r2 in one]),
+            (True, [(sym, q2, r2) for q2 in targets for r2 in sync]),
+        ]
 
-    table, successors = _live_moves(b, traj, steps), a.successors
-
-    def expand(key: tuple[int, int, int]):
-        p, q, r = key
-        for sym, zeros, ones, syncs in table[q, r]:
-            targets = successors(p, sym)
-            for p2 in targets:
-                for _, r2 in zeros:
-                    yield sym, (p2, q, r2)
-            for q2, r2 in ones:
-                yield sym, (p, q2, r2)
-            for p2 in targets:
-                for q2, r2 in syncs:
-                    yield sym, (p2, q2, r2)
-
-    return trim(_explore(alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
+    return _product(a, b, t, TrajectoryKind.SHUFFLE, steps)
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     """NFA for deleting L(b) from L(a) along trajectories L(t).
 
-    Product over reachable triples (state of a, state of b, state of t):
-    an i-step advances a and t, an s-step all three on the same symbol,
-    a d-step too, but it consumes no input symbol, so the product is
-    explored with internal epsilon moves, which `_explore` folds away
-    before it builds the automaton.  The moves of b and t come from a
-    table of their live pairs (`_live_moves`), built once per call: for
-    each pair (q, r) and symbol, the steps (label, q2, r2) of the
-    i-steps, then the s-steps, then the d-steps (label None), in the
-    order the product yields them, so a key costs one `a.successors`
-    call per symbol.  Keys over dead pairs reach no final key and are
-    never numbered; the other keys keep their relative ids and lose only
-    epsilon targets over dead pairs, so the result is byte for byte the
-    one the full product trims to (see `_live_moves`).
+    An i-step keeps a symbol of a, an s-step keeps a symbol that b reads
+    too, and a d-step deletes such a symbol, so it is an epsilon move of
+    the result; each advances t.  Built by `_product`, with one group
+    (a advances) of the i-, s- and d-steps.
     """
-    if t.kind is not TrajectoryKind.DELETION:
-        raise InputError("deletion_nfa needs a deletion-kind trajectory language")
-    alphabet = a.alphabet
-    if b.alphabet != alphabet:
-        raise InputError("operand alphabets differ")
-    traj = t.automaton
 
     def steps(q: int, r: int, sym: str):
-        keep, drop, sync = (traj.successors(r, label) for label in "ids")
+        keep, drop, sync = (t.automaton.successors(r, label) for label in "ids")
         targets = b.successors(q, sym)
-        return (
-            [(sym, q, r2) for r2 in keep]
-            + [(sym, q2, r2) for q2 in targets for r2 in sync]
-            + [(None, q2, r2) for q2 in targets for r2 in drop],
-        )
+        kept = [(sym, q, r2) for r2 in keep] + [(sym, q2, r2) for q2 in targets for r2 in sync]
+        return [(True, kept + [(None, q2, r2) for q2 in targets for r2 in drop])]
 
+    return _product(a, b, t, TrajectoryKind.DELETION, steps)
+
+
+def _product(
+    a: Nfa, b: Nfa, t: TrajectoryLanguage, kind: TrajectoryKind, steps: Callable[[int, int, str], list]
+) -> Nfa:
+    """The trimmed product of a, b and t's automaton over reachable keys
+    (p, q, r), a state of each, with the moves of b and t from
+    `steps(q, r, symbol)`: a list of groups (advances, moves), each move
+    (label, q2, r2) with label None for an epsilon move, which `_explore`
+    folds away.  For each symbol a key steps through the groups in order,
+    and in each group to (p2, q2, r2) for every move, with p2 every
+    successor of p on the symbol if `advances`, else p itself; this order
+    fixes the ids.  The moves come from `_live_moves`, built once per call.
+    """
+    if t.kind is not kind:
+        raise InputError(f"{kind.value}_nfa needs a {kind.value}-kind trajectory language")
+    if b.alphabet != a.alphabet:
+        raise InputError("operand alphabets differ")
+    traj = t.automaton
     table, successors = _live_moves(b, traj, steps), a.successors
 
     def expand(key: tuple[int, int, int]):
         p, q, r = key
-        for sym, moves in table[q, r]:
-            for p2 in successors(p, sym):
-                for label, q2, r2 in moves:
-                    yield label, (p2, q2, r2)
+        for sym, groups in table[q, r]:
+            targets = successors(p, sym)
+            for advances, moves in groups:
+                for p2 in targets if advances else (p,):
+                    for label, q2, r2 in moves:
+                        yield label, (p2, q2, r2)
 
-    return trim(_explore(alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
+    return trim(_explore(a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
 
 
-def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], tuple[list, ...]]) -> dict:
+def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], list]) -> dict:
     """The move table of a product with b and traj: for each pair (q, r)
-    of a state of b and a state of traj, the entries (symbol, *lists) of
-    `steps(q, r, symbol)`, lists of steps that each end in their target
-    pair, with only the steps into live pairs, and only the symbols left
-    with a step.
+    of a state of b and a state of traj, the entries (symbol, groups) of
+    `steps(q, r, symbol)`, with only the moves into live pairs, only the
+    groups left with a move, and only the symbols left with a group.
 
-    A pair is live if the pair graph of the steps reaches from it a pair
+    A pair is live if the pair graph of the moves reaches from it a pair
     of a final of b and a final of traj.  Every path of the product with
     a projects onto a path of the pair graph, so a key over a dead pair
     reaches no final key.  Such keys lead only to keys over dead pairs,
@@ -236,23 +196,22 @@ def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], tuple[list, 
     and the state cap counts only keys over live pairs.
     """
     pairs = itertools.product(range(b.state_count), range(traj.state_count))
-    moves = {(q, r): [(sym, *steps(q, r, sym)) for sym in b.alphabet] for q, r in pairs}
+    moves = {(q, r): [(sym, steps(q, r, sym)) for sym in b.alphabet] for q, r in pairs}
     back: dict = {}
     for pair, row in moves.items():
-        for _, *lists in row:
-            for step in itertools.chain.from_iterable(lists):
-                back.setdefault(step[-2:], []).append(pair)
+        for _, groups in row:
+            for _, group in groups:
+                for _, q2, r2 in group:
+                    back.setdefault((q2, r2), []).append(pair)
     live = _reach(itertools.product(b.finals, traj.finals), back)
+
+    def live_groups(groups):
+        return [(advances, kept) for advances, group in groups if (kept := [m for m in group if m[1:] in live])]
+
     table = {}
     for pair, row in moves.items():
-        entries = [(sym, *([s for s in kept if s[-2:] in live] for kept in lists)) for sym, *lists in row]
-        table[pair] = [entry for entry in entries if any(entry[1:])]
+        table[pair] = [(sym, kept) for sym, groups in row if (kept := live_groups(groups))]
     return table
-
-
-def reversed_deletion(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
-    """Deletion with the operand roles swapped: delete L(a) from L(b)."""
-    return deletion_nfa(b, a, t)
 
 
 def _all_final(a: Nfa, b: Nfa, traj: Nfa):

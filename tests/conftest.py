@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from sdikit import Alphabet, Nfa
+from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage
+from sdikit.trajectories import SHUFFLE_ALPHABET
 
 try:
     from hypothesis import settings
@@ -50,6 +51,12 @@ def blowup(k):
     trans = {(0, "a", 0), (0, "b", 0), (0, "a", 1)}
     trans |= {(q, sym, q + 1) for q in range(1, k + 1) for sym in "ab"}
     return Nfa(AB, k + 2, 0, frozenset({k + 1}), frozenset(trans))
+
+
+def plain_shuffle():
+    """All of {0,1}*: ordinary (unsynchronized) shuffle."""
+    loops = frozenset({(0, "0", 0), (0, "1", 0)})
+    return TrajectoryLanguage(TrajectoryKind.SHUFFLE, Nfa(SHUFFLE_ALPHABET, 1, 0, frozenset({0}), loops))
 
 
 def wide_random_nfa(rng):

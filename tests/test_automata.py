@@ -27,7 +27,7 @@ from sdikit import (
     product_intersection,
     shortest_word,
     trim,
-    union,
+    union_all,
 )
 from sdikit.complexity import random_nfa
 from sdikit.constructions import _sdi_parts, asdi_nfa_direct, sdi_nfa_direct
@@ -149,19 +149,19 @@ def test_product_intersection_examples():
 
 def test_union_examples():
     just_a, just_b = Nfa.from_word("a", AB), Nfa.from_word("b", AB)
-    assert enumerate_language(union(Nfa.empty_language(AB), just_a), 3) == ["a"]
-    assert enumerate_language(union(just_a, just_b), 2) == ["a", "b"]
+    assert enumerate_language(union_all([Nfa.empty_language(AB), just_a], AB), 3) == ["a"]
+    assert enumerate_language(union_all([just_a, just_b], AB), 2) == ["a", "b"]
     ba_plus = Nfa(AB, 3, 0, frozenset({2}),
                   frozenset({(0, "b", 1), (1, "a", 2), (2, "a", 2)}))
     ab_plus = Nfa(AB, 3, 0, frozenset({2}),
                   frozenset({(0, "a", 1), (1, "b", 2), (2, "b", 2)}))
-    got = enumerate_language(union(ba_plus, ab_plus), 4)
+    got = enumerate_language(union_all([ba_plus, ab_plus], AB), 4)
     assert got == ["ab", "ba", "abb", "baa", "abbb", "baaa"]
 
 
 def test_union_alphabet_mismatch():
     with pytest.raises(InputError):
-        union(Nfa.from_word("a", AB), Nfa.from_word("a", ABC))
+        union_all([Nfa.from_word("a", AB), Nfa.from_word("a", ABC)], AB)
 
 
 def test_is_empty():
@@ -544,7 +544,7 @@ def test_explore_outputs_are_empty_exactly_without_finals():
 def _deletion_t1(rng):
     """A deletion along T1 whose product has epsilon moves and whose
     language is not empty: "aab" or "ab" is deleted from "aabb"."""
-    a = union(random_nfa(rng, 6, AB, 0.3), Nfa.from_word("aabb", AB))
+    a = union_all([random_nfa(rng, 6, AB, 0.3), Nfa.from_word("aabb", AB)], AB)
     return deletion_nfa(a, Nfa.from_words(["aab", "ab"], AB), named_trajectory("T1").language)
 
 
@@ -556,7 +556,7 @@ def _rows_built_cases():
         yield "sdi_nfa_direct", sdi_nfa_direct(a, b)
         yield "deletion_nfa", _deletion_t1(rng)
         yield "complement", complement(a)
-        yield "trim", trim(union(a, b))
+        yield "trim", trim(union_all([a, b], AB))
 
 
 def test_rows_built_automata_equal_their_triple_built_twins():

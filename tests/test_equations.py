@@ -17,7 +17,7 @@ from sdikit import (
     membership,
     sdi_nfa_direct,
     solve,
-    union,
+    union_all,
     verify_solution,
 )
 from sdikit.complexity import random_nfa
@@ -89,7 +89,7 @@ def test_verify_solution_rejects_empty_and_mutants():
     solution = solve(spec)
     assert solution.solvable
     # adding a word that produces something outside R breaks the equation
-    mutant = union(s0, Nfa.from_word("abab", AB))
+    mutant = union_all([s0, Nfa.from_word("abab", AB)], AB)
     assert not verify_solution(mutant, spec)
 
 

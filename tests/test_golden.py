@@ -39,17 +39,17 @@ from sdikit import (
     max_sdi_single_nfa,
     min_sdi_single_nfa,
     named_trajectory,
-    plain_shuffle_trajectories,
     product_intersection,
     regular_max_sdi_finite,
     sdi_nfa_direct,
     shuffle_nfa,
-    union,
     union_all,
 )
 from sdikit.complexity import random_nfa
 from sdikit.equations import EquationSpec, UnknownSide
 from sdikit.textio import serialize_automaton
+
+from conftest import plain_shuffle
 
 AB = Alphabet.from_string("ab")
 
@@ -75,9 +75,9 @@ CASES = {
     "complement_random": lambda: complement(_rand(49, 9, 0.15)),  # partial: gains a sink
     "complement_blowup": lambda: complement(_blowup(5)),
     "product_intersection": lambda: product_intersection(_rand(2, 7), _rand(3, 6)),
-    "union": lambda: union(_rand(4, 4), _rand(5, 5)),
+    "union": lambda: union_all([_rand(4, 4), _rand(5, 5)], AB),
     "union_all": lambda: union_all([_rand(6, 3), _rand(7, 4), _rand(8, 3)], AB),
-    "shuffle_plain": lambda: shuffle_nfa(_rand(9, 4), _rand(10, 4), plain_shuffle_trajectories()),
+    "shuffle_plain": lambda: shuffle_nfa(_rand(9, 4), _rand(10, 4), plain_shuffle()),
     "shuffle_T_sdi": lambda: shuffle_nfa(_rand(11, 4), _rand(12, 3), _traj("T_sdi")),
     "shuffle_T_asdi": lambda: shuffle_nfa(_rand(13, 4), _rand(14, 3), _traj("T_asdi")),
     "deletion_T1": lambda: deletion_nfa(_rand(16, 5, 0.4), _rand(17, 3, 0.4), _traj("T1")),

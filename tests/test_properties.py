@@ -20,9 +20,11 @@ from sdikit import (
     named_trajectory,
     scan_member,
     sdi_strings,
+    shuffle_nfa,
+    shuffle_on_trajectory,
 )
 
-from conftest import AB
+from conftest import AB, plain_shuffle
 
 
 @st.composite
@@ -48,16 +50,19 @@ def test_max_min_deciders_equal_the_oracle_scan(a, b, data):
     assert min_sdi_membership(w, a, b) == scan_member(SdiVariant.MINIMAL, w, hosts, inserted)
 
 
-def _trajectory_words(name, max_len):
-    """The words of a named deletion trajectory up to `max_len`, by
-    (length, number of deleted-word symbols they consume)."""
+def _trajectory_words(t, max_len, key):
+    """The words of trajectory language t up to `max_len`, grouped by `key`."""
     words = defaultdict(list)
-    for t in enumerate_language(named_trajectory(name).language.automaton, max_len):
-        words[len(t), len(t) - t.count("i")].append(t)
+    for word in enumerate_language(t.automaton, max_len):
+        words[key(word)].append(word)
     return words
 
 
-_DELETION_WORDS = {name: _trajectory_words(name, 6) for name in ("T1", "T1a", "T2", "T2a")}
+# deletion trajectories by (length, number of deleted-word symbols they consume)
+_DELETION_WORDS = {
+    name: _trajectory_words(named_trajectory(name).language, 6, lambda t: (len(t), len(t) - t.count("i")))
+    for name in ("T1", "T1a", "T2", "T2a")
+}
 
 
 @given(small_nfas(), st.frozensets(st.text("ab", max_size=3), max_size=4), st.sampled_from(sorted(_DELETION_WORDS)))
@@ -72,5 +77,29 @@ def test_deletion_equals_the_trajectory_oracle(a, deleted, name):
         for y in deleted
         for t in trajectories[len(x), len(y)]
         if (out := delete_on_trajectory(x, y, t)) is not None and len(out) <= 3
+    }
+    assert set(got) == expected
+
+
+_SHUFFLES = {name: named_trajectory(name).language for name in ("T_sdi", "T_asdi")} | {"{0,1}*": plain_shuffle()}
+# shuffle trajectories by the lengths of the two words they interleave
+_SHUFFLE_WORDS = {
+    name: _trajectory_words(t, 4, lambda t: (len(t) - t.count("1"), len(t) - t.count("0")))
+    for name, t in _SHUFFLES.items()
+}
+
+
+@given(small_nfas(), small_nfas(), st.sampled_from(sorted(_SHUFFLES)))
+def test_shuffle_equals_the_trajectory_oracle(a, b, name):
+    # an output is as long as its trajectory and no shorter than either
+    # operand word, so the bounded comparison up to length 4 is exhaustive
+    got = enumerate_language(shuffle_nfa(a, b, _SHUFFLES[name]), 4)
+    trajectories = _SHUFFLE_WORDS[name]
+    expected = {
+        out
+        for x in enumerate_language(a, 4)
+        for y in enumerate_language(b, 4)
+        for t in trajectories[len(x), len(y)]
+        if (out := shuffle_on_trajectory(x, y, t)) is not None
     }
     assert set(got) == expected

@@ -19,9 +19,7 @@ from sdikit import (
     equivalent,
     membership,
     named_trajectory,
-    plain_shuffle_trajectories,
     product_intersection,
-    reversed_deletion,
     scan_language,
     sdi_nfa_direct,
     shuffle_nfa,
@@ -31,7 +29,7 @@ from sdikit.complexity import random_nfa
 from sdikit.textio import serialize_automaton
 from sdikit.trajectories import DELETION_ALPHABET, NAMED_TRAJECTORIES, SHUFFLE_ALPHABET, _all_final
 
-from conftest import AB, all_words, blowup, wide_random_nfa
+from conftest import AB, ABC, all_words, blowup, plain_shuffle, wide_random_nfa
 
 
 def test_named_trajectory_membership():
@@ -105,7 +103,7 @@ def _interleavings(x, y):
 def test_plain_shuffle_is_ordinary_interleaving():
     astar = Nfa(AB, 1, 0, frozenset({0}), frozenset({(0, "a", 0)}))
     bstar = Nfa(AB, 1, 0, frozenset({0}), frozenset({(0, "b", 0)}))
-    got = set(enumerate_language(shuffle_nfa(astar, bstar, plain_shuffle_trajectories()), 5))
+    got = set(enumerate_language(shuffle_nfa(astar, bstar, plain_shuffle()), 5))
     expected = set()
     for la in range(6):
         for lb in range(6 - la):
@@ -137,11 +135,17 @@ def test_shuffle_tsdi_matches_oracle():
 
 def test_shuffle_kind_mismatch():
     t1 = named_trajectory("T1").language
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^shuffle_nfa needs a shuffle-kind trajectory language$"):
         shuffle_nfa(Nfa.universal(AB), Nfa.universal(AB), t1)
     t_sdi = named_trajectory("T_sdi").language
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^deletion_nfa needs a deletion-kind trajectory language$"):
         deletion_nfa(Nfa.universal(AB), Nfa.universal(AB), t_sdi)
+
+
+@pytest.mark.parametrize("build,name", [(shuffle_nfa, "T_sdi"), (deletion_nfa, "T1")])
+def test_operand_alphabets_must_match(build, name):
+    with pytest.raises(InputError, match="^operand alphabets differ$"):
+        build(Nfa.universal(AB), Nfa.universal(ABC), named_trajectory(name).language)
 
 
 def test_shuffle_product_size_bound():
@@ -228,14 +232,6 @@ def test_deletion_t1_matches_trajectory_oracle():
                     if out is not None and len(out) <= 4:
                         expected.add(out)
         assert got == expected
-
-
-def test_reversed_deletion_swaps_arguments():
-    rng = random.Random(97)
-    t2 = named_trajectory("T2").language
-    for _ in range(8):
-        a, b = random_nfa(rng, 3, AB), random_nfa(rng, 3, AB)
-        assert equivalent(reversed_deletion(a, b, t2), deletion_nfa(b, a, t2))
 
 
 def _full_shuffle(a, b, traj):

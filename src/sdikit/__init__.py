@@ -56,13 +56,9 @@ from .decide import (
     DecisionReport,
     closed_under_finite_maxmin,
     closure_counterexample_search,
-    is_asdi_free,
-    is_asdi_independent,
     is_closed_under_sdi,
-    is_maxmin_sdi_free,
-    is_maxmin_sdi_independent,
-    is_sdi_free,
-    is_sdi_independent,
+    is_free,
+    is_independent,
     two_var_solvable,
 )
 from .equations import (

@@ -116,6 +116,8 @@ def _load_trajectory(spec_text: str, kind: TrajectoryKind) -> TrajectoryLanguage
 
 
 def _cmd_op(args) -> int:
+    if args.out and args.max_len is not None:
+        raise _UsageError("--out and --max-len exclude each other")
     if args.variant in ("shuffle", "deletion"):
         if args.trajectory is None:
             raise _UsageError(f"--variant {args.variant} needs --trajectory (name or file)")
@@ -125,6 +127,8 @@ def _cmd_op(args) -> int:
         else:
             result = deletion_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.DELETION))
         return _emit_result(args, result)
+    if args.trajectory is not None:
+        raise _UsageError("--trajectory needs --variant shuffle or deletion")
 
     variant = SdiVariant(args.variant)
     if variant in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
@@ -189,7 +193,7 @@ def _counterexample(variant: SdiVariant, a: Nfa, max_len: int) -> int:
     return EXIT_FALSE
 
 
-# operand kind -> (usage text, per operand file: is it a word list, needs --max-len)
+# operand kind -> (usage text, per operand file: is it a word list, takes --max-len)
 _OPERAND_KINDS = {
     "automata": ("two automaton files", (False, False), False),
     "automaton": ("one automaton file", (False,), False),
@@ -202,18 +206,11 @@ _OPERAND_KINDS = {
 # lambdas look `decide` functions up at call time, so patching the module
 # (as a tracer does) reaches them.
 _DECIDERS = {
-    "sdi-free": ("automata", lambda a, b: decide.is_sdi_free(a, b)),
-    "sdi-independent": ("automata", lambda a, b: decide.is_sdi_independent(a, b)),
-    "asdi-free": ("automata", lambda a, b: decide.is_asdi_free(a, b)),
-    "asdi-independent": ("automata", lambda a, b: decide.is_asdi_independent(a, b)),
-    "maxsdi-free": ("automata", lambda a, b: decide.is_maxmin_sdi_free(SdiVariant.MAXIMAL, a, b)),
-    "minsdi-free": ("automata", lambda a, b: decide.is_maxmin_sdi_free(SdiVariant.MINIMAL, a, b)),
-    "maxsdi-independent": (
-        "automata", lambda a, b: decide.is_maxmin_sdi_independent(SdiVariant.MAXIMAL, a, b)
-    ),
-    "minsdi-independent": (
-        "automata", lambda a, b: decide.is_maxmin_sdi_independent(SdiVariant.MINIMAL, a, b)
-    ),
+    **{f"{v.value}-free": ("automata", lambda a, b, v=v: decide.is_free(v, a, b)) for v in SdiVariant},
+    **{
+        f"{v.value}-independent": ("automata", lambda a, b, v=v: decide.is_independent(v, a, b))
+        for v in SdiVariant
+    },
     "closed-sdi": ("automaton", lambda a: decide.is_closed_under_sdi(a)),
     "closed-finite-max": (
         "automaton+words",
@@ -238,6 +235,8 @@ def _cmd_decide(args) -> int:
         raise _UsageError(f"{pred} needs {usage}")
     if bounded and args.max_len is None:
         raise _UsageError(f"{pred} needs --max-len")
+    if not bounded and args.max_len is not None:
+        raise _UsageError(f"{pred} takes no --max-len (its verdict is not bounded)")
     operands = [
         load_words(path) if words else load_automaton(path)
         for words, path in zip(word_lists, args.operands)
@@ -305,6 +304,8 @@ def _cmd_check_format(args) -> int:
     from .automata import is_deterministic
 
     if args.kind == "words":
+        if args.require_dfa:
+            raise _UsageError("--require-dfa needs an automaton, not --kind words")
         words = load_words(args.file)
         print(f"ok: {len(words)} words")
         return EXIT_TRUE

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .automata import (
     DEFAULT_STATE_CAP,
-    InputError,
     Nfa,
     Word,
     _meet_parts,
@@ -63,49 +62,23 @@ def _emptiness_report(predicate: str, search: _OnDemand) -> DecisionReport:
     return DecisionReport(predicate, witness is None, witness, {"explored_states": search.state_count})
 
 
-def is_sdi_free(a: Nfa, b: Nfa) -> DecisionReport:
-    """L(a) ⊕ L(b) = ∅ for general site-directed insertion."""
-    return _emptiness_report("sdi-free", _OnDemand(a.alphabet, *_sdi_parts(a, b)))
+def is_free(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
+    """L(a) ⊕ L(b) = ∅ for the variant.  Max/min freeness coincides with
+    general freeness: a site admits a maximal (minimal) insertion iff it
+    admits any insertion."""
+    parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
+    return _emptiness_report(f"{variant.value}-free", _OnDemand(a.alphabet, *parts(a, b)))
 
 
-def is_asdi_free(a: Nfa, b: Nfa) -> DecisionReport:
-    return _emptiness_report("asdi-free", _OnDemand(a.alphabet, *_asdi_parts(a, b)))
-
-
-def is_sdi_independent(a: Nfa, b: Nfa) -> DecisionReport:
-    """(L(a) ⊕ nonempty-middle insertions) ∩ L(b) = ∅."""
-    grown = _sdi_parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
-    return _emptiness_report("sdi-independent", _OnDemand(a.alphabet, *_meet_parts(*grown, b)))
-
-
-def is_asdi_independent(a: Nfa, b: Nfa) -> DecisionReport:
-    grown = _asdi_parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
-    return _emptiness_report("asdi-independent", _OnDemand(a.alphabet, *_meet_parts(*grown, b)))
-
-
-def _maxmin_name(variant: SdiVariant, suffix: str) -> str:
-    if variant is SdiVariant.MAXIMAL:
-        return "maxsdi-" + suffix
-    if variant is SdiVariant.MINIMAL:
-        return "minsdi-" + suffix
-    raise InputError("variant must be maximal or minimal")
-
-
-def is_maxmin_sdi_free(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
-    """Max/min freeness coincides with general freeness: a site admits a
-    maximal (minimal) insertion iff it admits any insertion."""
-    base = is_sdi_free(a, b)
-    return DecisionReport(_maxmin_name(variant, "free"), base.answer, base.witness, base.resources)
-
-
-def is_maxmin_sdi_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
-    """Max/min independence delegates to general independence: inserting
+def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
+    """(L(a) ⊕ nonempty-middle insertions) ∩ L(b) = ∅ for the variant.
+    Max/min independence coincides with general independence: inserting
     into a host with the whole remaining word as matched outfix is always
     maximal, and single-letter outfixes are always minimal."""
-    base = is_sdi_independent(a, b)
-    return DecisionReport(
-        _maxmin_name(variant, "independent"), base.answer, base.witness, base.resources
-    )
+    parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
+    grown = parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
+    search = _OnDemand(a.alphabet, *_meet_parts(*grown, b))
+    return _emptiness_report(f"{variant.value}-independent", search)
 
 
 def is_closed_under_sdi(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> DecisionReport:
@@ -125,7 +98,7 @@ def closed_under_finite_maxmin(
     grown = regular_max_sdi_finite(a, words, variant)
     witness = inclusion_witness(grown, a, cap)
     return DecisionReport(
-        _maxmin_name(variant, "closed-finite"),
+        f"{variant.value}-closed-finite",
         witness is None,
         witness,
         {"construction_states": grown.state_count},

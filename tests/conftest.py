@@ -1,19 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import settings, strategies as st
 
 from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage
 from sdikit.trajectories import SHUFFLE_ALPHABET
 
-try:
-    from hypothesis import settings
-except ImportError:  # the property tests skip themselves without hypothesis
-    pass
-else:
-    # Derandomized: every run draws the same examples, so tier-1 stays
-    # deterministic; no example database is written.
-    settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=80)
-    settings.load_profile("tier1")
+# Derandomized: every run draws the same examples, so tier-1 stays
+# deterministic; no example database is written.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=80)
+settings.load_profile("tier1")
 
 AB = Alphabet.from_string("ab")
 ABC = Alphabet.from_string("abc")
@@ -57,6 +53,21 @@ def plain_shuffle():
     """All of {0,1}*: ordinary (unsynchronized) shuffle."""
     loops = frozenset({(0, "0", 0), (0, "1", 0)})
     return TrajectoryLanguage(TrajectoryKind.SHUFFLE, Nfa(SHUFFLE_ALPHABET, 1, 0, frozenset({0}), loops))
+
+
+@st.composite
+def small_nfas(draw, max_states=4):
+    """Small NFAs over {a, b}: any initial state, dead and unreachable
+    states.  At least one final state, or most examples would have an
+    empty language (`wide_random_nfa` draws operands without one)."""
+    n = draw(st.integers(1, max_states))
+    states = st.integers(0, n - 1)
+    # one integer per transition: drawing (source, symbol, target) tuples
+    # took three times as long
+    slots = [(src, sym, dst) for src in range(n) for sym in "ab" for dst in range(n)]
+    chosen = draw(st.frozensets(st.integers(0, len(slots) - 1), min_size=n, max_size=len(slots)))
+    trans = frozenset(slots[i] for i in chosen)
+    return Nfa(AB, n, draw(states), draw(st.frozensets(states, min_size=1)), trans)
 
 
 def wide_random_nfa(rng):

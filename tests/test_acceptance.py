@@ -19,7 +19,7 @@ from sdikit import (
     enumerate_language,
     fooling_set_check,
     is_closed_under_sdi,
-    is_sdi_independent,
+    is_independent,
     max_sdi_membership,
     max_sdi_single_nfa,
     max_sdi_strings,
@@ -198,7 +198,7 @@ def test_criterion_06_independence_identity():
         if not (general == maximal == minimal):
             mismatches += 1
     pair = Nfa.from_words({"ab", "b"}, AB)
-    pair_independent = is_sdi_independent(pair, pair).answer
+    pair_independent = is_independent(SdiVariant.GENERAL, pair, pair).answer
     ok = mismatches == 0 and pair_independent
     _verdict(
         "criterion 6 (independence identity + {ab,b})",

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -188,6 +189,12 @@ DECIDE_OPERAND_COUNTS = {
 }
 
 
+@pytest.mark.parametrize("predicate", [p for p in DECIDE_OPERAND_COUNTS if p.endswith(("-free", "-independent"))])
+def test_decide_verdict_names_its_predicate(files, capsys, predicate):
+    assert main(["decide", predicate, files["pair.nfa"], files["pair.nfa"]]) in (0, 1)
+    assert capsys.readouterr().out.startswith(f"{predicate}: ")
+
+
 @pytest.mark.parametrize(
     "predicate, count",
     [
@@ -201,6 +208,24 @@ def test_decide_wrong_operand_count_is_usage_error(files, capsys, predicate, cou
     operands = [files["lab.nfa"]] * count
     assert main(["decide", predicate, *operands, "--max-len", "3"]) == 2
     assert f"error: {predicate} needs " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["op", "--variant", "sdi", "lab.nfa", "lab.nfa", "--trajectory", "T1"], "--trajectory needs --variant"),
+        (["op", "--variant", "sdi", "lab.nfa", "lab.nfa", "--out", "out.nfa", "--max-len", "3"],
+         "--out and --max-len"),
+        (["decide", "sdi-free", "lab.nfa", "lab.nfa", "--max-len", "3"], "sdi-free takes no --max-len"),
+        (["check-format", "insert.txt", "--kind", "words", "--require-dfa"], "--require-dfa needs an automaton"),
+    ],
+)
+def test_flags_that_would_be_ignored_are_usage_errors(files, capsys, argv, message):
+    files["out.nfa"] = files["tmp"] + "/out.nfa"
+    assert main([files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message}" in captured.err
+    assert not os.path.exists(files["out.nfa"])
 
 
 def test_solve_round_trip(files, capsys):

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -13,16 +14,11 @@ from sdikit import (
     closed_under_finite_maxmin,
     closure_counterexample_search,
     enumerate_language,
-    is_asdi_free,
-    is_asdi_independent,
     is_closed_under_sdi,
-    is_maxmin_sdi_free,
-    is_maxmin_sdi_independent,
-    is_sdi_free,
-    is_sdi_independent,
+    is_free,
+    is_independent,
     max_sdi_membership,
     membership,
-    min_sdi_membership,
     product_intersection,
     scan_language,
     sdi_nfa_direct,
@@ -36,62 +32,33 @@ from conftest import AB, ABC, all_words, blowup, lenlex, wide_random_nfa
 
 
 def test_sdi_free_examples():
-    assert is_sdi_free(Nfa.from_word("a", AB), Nfa.from_word("ab", AB)).answer
-    report = is_sdi_free(Nfa.from_word("ab", AB), Nfa.from_word("ab", AB))
+    assert is_free(SdiVariant.GENERAL, Nfa.from_word("a", AB), Nfa.from_word("ab", AB)).answer
+    report = is_free(SdiVariant.GENERAL, Nfa.from_word("ab", AB), Nfa.from_word("ab", AB))
     assert not report.answer and report.witness == "ab"
     a_plus = Nfa(AB, 2, 0, frozenset({1}), frozenset({(0, "a", 1), (1, "a", 1)}))
-    assert not is_sdi_free(a_plus, a_plus).answer
+    assert not is_free(SdiVariant.GENERAL, a_plus, a_plus).answer
 
 
 def test_sdi_independent_examples():
     two = Nfa.from_words({"ab", "b"}, AB)
-    assert is_sdi_independent(two, two).answer
+    assert is_independent(SdiVariant.GENERAL, two, two).answer
     host = Nfa.from_word("ab", ABC)
     target = Nfa.from_word("acb", ABC)
-    report = is_sdi_independent(host, target)
+    report = is_independent(SdiVariant.GENERAL, host, target)
     assert not report.answer and report.witness == "acb"
-    assert is_sdi_independent(Nfa.empty_language(AB), Nfa.universal(AB)).answer
+    assert is_independent(SdiVariant.GENERAL, Nfa.empty_language(AB), Nfa.universal(AB)).answer
 
 
 def test_asdi_variants():
     host = Nfa.from_word("ab", ABC)
     target = Nfa.from_word("acb", ABC)
-    assert not is_asdi_free(host, target).answer
+    assert not is_free(SdiVariant.ALPHABETIC, host, target).answer
     two = Nfa.from_words({"ab", "b"}, AB)
-    assert is_asdi_independent(two, two).answer
-    assert is_asdi_free(Nfa.empty_language(AB), Nfa.universal(AB)).answer
-
-
-def test_maxmin_delegation_consistency():
-    rng = random.Random(149)
-    for _ in range(15):
-        a = random_nfa(rng, rng.randint(1, 3), AB)
-        b = random_nfa(rng, rng.randint(1, 3), AB)
-        base = is_sdi_free(a, b).answer
-        for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
-            assert is_maxmin_sdi_free(variant, a, b).answer == base
-        base_ind = is_sdi_independent(a, b).answer
-        for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
-            assert is_maxmin_sdi_independent(variant, a, b).answer == base_ind
-
-
-def test_freeness_matches_bounded_oracle_emptiness():
-    rng = random.Random(151)
-    for _ in range(20):
-        a = random_nfa(rng, 2, AB)
-        b = random_nfa(rng, 2, AB)
-        free = is_sdi_free(a, b).answer
-        hosts = enumerate_language(a, 8)
-        inserted = enumerate_language(b, 8)
-        produced_max = bounded_language_op(SdiVariant.MAXIMAL, hosts, inserted)
-        produced_min = bounded_language_op(SdiVariant.MINIMAL, hosts, inserted)
-        # bounded check only: emptiness of the max/min set at the bound
-        if not free:
-            witness = is_sdi_free(a, b).witness
-            assert witness is not None and membership(sdi_nfa_direct(a, b), witness)
-        if produced_max or produced_min:
-            assert not free
-        assert bool(produced_max) == bool(produced_min)
+    assert is_independent(SdiVariant.ALPHABETIC, two, two).answer
+    assert is_free(SdiVariant.ALPHABETIC, Nfa.empty_language(AB), Nfa.universal(AB)).answer
+    # aba into aba matches the outfix (ab, a) but no letter pair: aa is no factor
+    aba = Nfa.from_word("aba", AB)
+    assert is_free(SdiVariant.ALPHABETIC, aba, aba).answer and not is_free(SdiVariant.GENERAL, aba, aba).answer
 
 
 def test_independence_identity_on_enumerations():
@@ -135,24 +102,11 @@ def test_closed_under_finite_maxmin_examples():
     assert not report.answer
     assert report.witness in {"acbabab", "abacbab", "ababacbab"}
     assert max_sdi_membership(report.witness, host, Nfa.from_words({"acbab"}, ABC))
-
-
-def test_closed_under_finite_maxmin_matches_oracle():
-    rng = random.Random(163)
-    for _ in range(10):
-        a = random_nfa(rng, 2, AB)
-        words = {"".join(rng.choice("ab") for _ in range(rng.randint(2, 3)))}
-        for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
-            report = closed_under_finite_maxmin(variant, a, words)
-            hosts = enumerate_language(a, 8)
-            produced = bounded_language_op(variant, hosts, words)
-            escaped = [w for w in produced if len(w) <= 8 and not membership(a, w)]
-            if escaped:
-                assert not report.answer
-            if not report.answer:
-                checker = max_sdi_membership if variant is SdiVariant.MAXIMAL else min_sdi_membership
-                assert checker(report.witness, a, Nfa.from_words(words, AB))
-                assert not membership(a, report.witness)
+    # maximal insertion of aaa into aaaa gives aaaa back, minimal gives aaaaa
+    aaaa = Nfa.from_word("aaaa", AB)
+    assert closed_under_finite_maxmin(SdiVariant.MAXIMAL, aaaa, {"aaa"}).answer
+    report = closed_under_finite_maxmin(SdiVariant.MINIMAL, aaaa, {"aaa"})
+    assert (report.answer, report.witness) == (False, "aaaaa")
 
 
 def test_two_var_solvable():
@@ -161,21 +115,6 @@ def test_two_var_solvable():
     report = two_var_solvable(Nfa.from_word("a", AB))
     assert not report.answer and report.witness == "a"
     assert two_var_solvable(Nfa.empty_language(AB)).answer
-
-
-def test_two_var_matches_length_criterion():
-    rng = random.Random(167)
-    for _ in range(20):
-        r = random_nfa(rng, rng.randint(1, 3), AB)
-        words = enumerate_language(r, 6)
-        short_exists = any(len(w) < 2 for w in words)
-        report = two_var_solvable(r)
-        if short_exists:
-            assert not report.answer
-        # absence of short words at the bound is conclusive here: length < 2
-        # membership is decided exactly by the product construction
-        else:
-            assert report.answer
 
 
 def test_counterexample_search():
@@ -188,20 +127,6 @@ def test_counterexample_search():
     w = closure_counterexample_search(SdiVariant.GENERAL, host, 12)
     assert w is not None
     assert w in sdi_strings("ababab", "ababab") and w != "ababab"
-
-
-def test_counterexample_search_agrees_with_oracle():
-    rng = random.Random(173)
-    for _ in range(10):
-        a = random_nfa(rng, 2, AB)
-        words = enumerate_language(a, 7)
-        produced = bounded_language_op(SdiVariant.GENERAL, words, words)
-        escaped = sorted(
-            (w for w in produced if len(w) <= 7 and not membership(a, w)),
-            key=lambda w: (len(w), w),
-        )
-        got = closure_counterexample_search(SdiVariant.GENERAL, a, 7)
-        assert got == (escaped[0] if escaped else None)
 
 
 def _small_nfa(rng, alphabet):
@@ -233,11 +158,14 @@ def test_bounded_insertion_words_agree_with_oracle(variant):
 def _built_witnesses(a, b):
     """Each predicate's witness through automata built in full."""
     sigma_plus = Nfa.sigma_plus(a.alphabet)
+    general, alphabetic = SdiVariant.GENERAL, SdiVariant.ALPHABETIC
     return {
-        is_sdi_free: shortest_word(sdi_nfa_direct(a, b)),
-        is_asdi_free: shortest_word(asdi_nfa_direct(a, b)),
-        is_sdi_independent: shortest_word(product_intersection(sdi_nfa_direct(a, sigma_plus, True), b)),
-        is_asdi_independent: shortest_word(product_intersection(asdi_nfa_direct(a, sigma_plus, True), b)),
+        partial(is_free, general): shortest_word(sdi_nfa_direct(a, b)),
+        partial(is_free, alphabetic): shortest_word(asdi_nfa_direct(a, b)),
+        partial(is_independent, general): shortest_word(product_intersection(sdi_nfa_direct(a, sigma_plus, True), b)),
+        partial(is_independent, alphabetic): shortest_word(
+            product_intersection(asdi_nfa_direct(a, sigma_plus, True), b)
+        ),
     }
 
 
@@ -268,15 +196,15 @@ def test_on_demand_predicates_match_the_built_path():
 
 def test_independence_rejects_an_alphabet_mismatch():
     with pytest.raises(InputError, match="alphabet mismatch"):
-        is_sdi_independent(Nfa.universal(AB), Nfa.universal(ABC))
+        is_independent(SdiVariant.GENERAL, Nfa.universal(AB), Nfa.universal(ABC))
     with pytest.raises(InputError, match="alphabet mismatch"):
-        is_asdi_independent(Nfa.universal(AB), Nfa.universal(ABC))
+        is_independent(SdiVariant.ALPHABETIC, Nfa.universal(AB), Nfa.universal(ABC))
 
 
 def test_freeness_explores_only_what_it_reaches():
     # the built construction would pay for nothing here; the search
     # numbers the k + 2 host states and stops
-    report = is_sdi_free(blowup(16), Nfa.empty_language(AB))
+    report = is_free(SdiVariant.GENERAL, blowup(16), Nfa.empty_language(AB))
     assert report.answer and report.resources["explored_states"] <= 18
 
 
@@ -316,10 +244,10 @@ def test_independence_expands_each_key_once(monkeypatch, parts):
         return start, counted, is_final
 
     monkeypatch.setattr(decide, parts, counting)
-    predicate = is_sdi_independent if parts == "_sdi_parts" else is_asdi_independent
+    variant = SdiVariant.GENERAL if parts == "_sdi_parts" else SdiVariant.ALPHABETIC
     rng = random.Random(3)
     a = random_nfa(rng, 6, AB, density=0.3)
     b = random_nfa(rng, 6, AB, density=0.3)
-    report = predicate(a, b)
+    report = is_independent(variant, a, b)
     assert report.resources["explored_states"] > 2 * len(calls)
     assert set(calls.values()) == {1}

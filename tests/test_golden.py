@@ -27,8 +27,6 @@ import random
 import pytest
 
 from sdikit import (
-    Alphabet,
-    Nfa,
     SdiVariant,
     asdi_nfa_direct,
     candidate,
@@ -49,20 +47,11 @@ from sdikit.complexity import random_nfa
 from sdikit.equations import EquationSpec, UnknownSide
 from sdikit.textio import serialize_automaton
 
-from conftest import plain_shuffle
-
-AB = Alphabet.from_string("ab")
+from conftest import AB, blowup, plain_shuffle
 
 
 def _rand(seed, n, density=0.3):
     return random_nfa(random.Random(seed), n, AB, density=density)
-
-
-def _blowup(k):
-    """(a|b)*a(a|b)^k: k+2 states, 2^(k+1) reachable subsets."""
-    trans = {(0, "a", 0), (0, "b", 0), (0, "a", 1)}
-    trans |= {(q, sym, q + 1) for q in range(1, k + 1) for sym in "ab"}
-    return Nfa(AB, k + 2, 0, frozenset({k + 1}), frozenset(trans))
 
 
 def _traj(name):
@@ -70,10 +59,10 @@ def _traj(name):
 
 
 CASES = {
-    "determinize_blowup6": lambda: determinize(_blowup(6)),
+    "determinize_blowup6": lambda: determinize(blowup(6)),
     "determinize_random": lambda: determinize(_rand(1, 9)),
     "complement_random": lambda: complement(_rand(49, 9, 0.15)),  # partial: gains a sink
-    "complement_blowup": lambda: complement(_blowup(5)),
+    "complement_blowup": lambda: complement(blowup(5)),
     "product_intersection": lambda: product_intersection(_rand(2, 7), _rand(3, 6)),
     "union": lambda: union_all([_rand(4, 4), _rand(5, 5)], AB),
     "union_all": lambda: union_all([_rand(6, 3), _rand(7, 4), _rand(8, 3)], AB),
@@ -112,7 +101,7 @@ CASES = {
         SdiVariant.MINIMAL, ["abab", "aab"], _rand(31, 4)
     ),
     "equation_candidate": lambda: candidate(
-        EquationSpec(UnknownSide.LEFT, SdiVariant.GENERAL, _rand(32, 2), _blowup(3))
+        EquationSpec(UnknownSide.LEFT, SdiVariant.GENERAL, _rand(32, 2), blowup(3))
     ),
 }
 

@@ -1,53 +1,205 @@
-"""Property-based cross-layer tests (hypothesis, derandomized profile
-from conftest.py)."""
+"""Property-based cross-layer tests (hypothesis, derandomized `tier1`
+profile from conftest.py)."""
 
 from collections import defaultdict
-
-import pytest
-
-pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st
 
 from sdikit import (
+    Dfa,
+    EquationSpec,
     Nfa,
     SdiVariant,
+    TrajectoryKind,
+    TrajectoryLanguage,
+    UnknownSide,
+    asdi_nfa_direct,
+    bounded_language_op,
+    closed_under_finite_maxmin,
+    complement,
     delete_on_trajectory,
     deletion_nfa,
+    determinize,
     enumerate_language,
+    equivalent,
+    finite_into_regular,
+    is_free,
+    is_subset,
     max_sdi_membership,
+    max_sdi_single_nfa,
+    membership,
     min_sdi_membership,
+    min_sdi_single_nfa,
     named_trajectory,
+    product_intersection,
+    scan_language,
     scan_member,
+    sdi_nfa_direct,
     sdi_strings,
     shuffle_nfa,
     shuffle_on_trajectory,
+    solve,
+    two_var_solvable,
+    union_all,
 )
+from sdikit.textio import parse_automaton, serialize_automaton
+from sdikit.trajectories import DELETION_ALPHABET
 
-from conftest import AB, plain_shuffle
+from conftest import AB, all_words, plain_shuffle, small_nfas
+
+MAXIMAL, MINIMAL = SdiVariant.MAXIMAL, SdiVariant.MINIMAL
+DECIDERS = ((MAXIMAL, max_sdi_membership), (MINIMAL, min_sdi_membership))
+WORDS_5, WORDS_6 = all_words("ab", 5), all_words("ab", 6)
+
+# variant -> direct construction, its trajectory set, its state bound in m, n
+INSERTIONS = {
+    SdiVariant.GENERAL: (sdi_nfa_direct, "T_sdi", lambda m, n: 3 * m * n + 2 * m),
+    SdiVariant.ALPHABETIC: (asdi_nfa_direct, "T_asdi", lambda m, n: m * n + 2 * m),
+}
 
 
-@st.composite
-def small_nfas(draw, max_states=4):
-    """Small NFAs over {a, b}: any initial state, dead and unreachable
-    states.  At least one final state, or most examples would have an
-    empty language (operands without one are in test_constructions)."""
-    n = draw(st.integers(1, max_states))
-    states = st.integers(0, n - 1)
-    trans = draw(st.frozensets(st.tuples(states, st.sampled_from("ab"), states), min_size=n, max_size=2 * n * n))
-    return Nfa(AB, n, draw(states), draw(st.frozensets(states, min_size=1)), trans)
+def _up_to(max_len, words):
+    return {w for w in words if len(w) <= max_len}
+
+
+@given(small_nfas(), small_nfas())
+def test_direct_construction_equals_the_trajectory_product_and_the_oracle(a, b):
+    # the paper's central claim, on all three layers
+    m, n = a.state_count, b.state_count
+    hosts, inserted = set(enumerate_language(a, 6)), set(enumerate_language(b, 6))
+    for variant, (build, name, bound) in INSERTIONS.items():
+        direct, t = build(a, b), named_trajectory(name).language
+        product = shuffle_nfa(a, b, t)
+        assert direct.state_count <= bound(m, n)
+        assert product.state_count <= m * n * t.automaton.state_count
+        assert equivalent(direct, product)
+        assert set(enumerate_language(direct, 6)) == scan_language(variant, WORDS_6, hosts, inserted)
 
 
 @given(small_nfas(), small_nfas(), st.data())
 def test_max_min_deciders_equal_the_oracle_scan(a, b, data):
     # any word, or a general SDI output of short operand words
     hosts, inserted = enumerate_language(a, 4)[:5], enumerate_language(b, 4)[:5]
-    outputs = sorted({w for x in hosts for y in inserted for w in sdi_strings(x, y) if len(w) <= 7})
-    words = st.text("ab", max_size=7)
+    outputs = sorted({w for x in hosts for y in inserted for w in sdi_strings(x, y) if len(w) <= 8})
+    words = st.text("ab", max_size=8)
     w = data.draw(st.sampled_from(outputs) | words if outputs else words)
     hosts, inserted = set(enumerate_language(a, len(w))), set(enumerate_language(b, len(w)))
-    assert max_sdi_membership(w, a, b) == scan_member(SdiVariant.MAXIMAL, w, hosts, inserted)
-    assert min_sdi_membership(w, a, b) == scan_member(SdiVariant.MINIMAL, w, hosts, inserted)
+    general = sdi_nfa_direct(a, b)
+    for variant, decider in DECIDERS:
+        answer = decider(w, a, b)
+        assert answer == scan_member(variant, w, hosts, inserted)
+        assert not answer or membership(general, w)  # a max/min output is a general output
+
+
+# longest first: st.text, and sampled_from in its first few choices,
+# would make most of them two letters long, too short to have a border
+_SHORT_WORDS = st.sampled_from(all_words("ab", 4, min_len=2)[::-1])
+
+
+@given(small_nfas(2), _SHORT_WORDS, st.frozensets(_SHORT_WORDS, min_size=1, max_size=2), small_nfas(2))
+def test_max_min_constructions_equal_the_oracle(a, y, hosts, b):
+    # no operand word is longer than an output, so the comparisons up to
+    # length 6 are exhaustive; y joins L(b) for its borders
+    host_words, inserted = enumerate_language(a, 6), enumerate_language(b, 6) + [y]
+    general, b_or_y = sdi_nfa_direct(a, Nfa.from_word(y, AB)), union_all([b, Nfa.from_word(y, AB)], AB)
+    for variant, single in ((MAXIMAL, max_sdi_single_nfa), (MINIMAL, min_sdi_single_nfa)):
+        built = single(a, y)
+        assert set(enumerate_language(built, 6)) == _up_to(6, bounded_language_op(variant, host_words, {y}))
+        assert is_subset(built, general)
+        got = enumerate_language(single(Nfa.from_words(hosts, AB), y), 6)
+        assert set(got) == bounded_language_op(variant, hosts, {y})
+        got = enumerate_language(finite_into_regular(variant, hosts, b_or_y), 6)
+        assert set(got) == _up_to(6, bounded_language_op(variant, hosts, inserted))
+
+
+_SYNC_STAR, _KEEP_STAR = (
+    TrajectoryLanguage(
+        TrajectoryKind.DELETION, Nfa(DELETION_ALPHABET, 1, 0, frozenset({0}), frozenset({(0, label, 0)}))
+    )
+    for label in "si"
+)
+
+
+@given(small_nfas(), small_nfas(), st.data())
+def test_algebra_and_text_preserve_the_language(a, b, data):
+    d = determinize(a)
+    assert equivalent(d, a) and equivalent(complement(complement(a)), a)
+    words_a = set(enumerate_language(a, 6))
+    assert set(enumerate_language(complement(a), 6)) == set(WORDS_6) - words_a
+    assert set(enumerate_language(product_intersection(a, b), 6)) == words_a & set(enumerate_language(b, 6))
+    assert [membership(a, w) for w in WORDS_6] == [w in words_a for w in WORDS_6]
+    for other in (b, d):
+        assert (is_subset(a, other) and is_subset(other, a)) == equivalent(a, other)
+    assert equivalent(deletion_nfa(a, b, _SYNC_STAR), product_intersection(a, b))
+    assert equivalent(deletion_nfa(a, Nfa.from_word("", AB), _KEEP_STAR), a)
+    text = serialize_automaton(a)
+    assert equivalent(parse_automaton(text), a) and serialize_automaton(parse_automaton(text)) == text
+    # renumbering leaves a DFA's text unchanged; an NFA's text also depends
+    # on the id order of its nondeterministic targets
+    perm = data.draw(st.permutations(range(d.state_count)))
+    renumbered = Dfa(
+        AB, d.state_count, perm[d.initial], frozenset(perm[q] for q in d.finals),
+        frozenset((perm[src], sym, perm[dst]) for src, sym, dst in d.transitions),
+    )
+    assert serialize_automaton(renumbered) == serialize_automaton(d)
+
+
+def _nonempty(variant, hosts, inserted):
+    return any(bounded_language_op(variant, {x}, {y}) for x in hosts for y in inserted)
+
+
+@given(small_nfas(2), small_nfas(2), st.frozensets(_SHORT_WORDS, min_size=1, max_size=2))
+def test_verdicts_carry_certificates(a, b, words):
+    hosts, inserted = enumerate_language(a, 5), enumerate_language(b, 5)
+    produced = {variant: _nonempty(variant, hosts, inserted) for variant in SdiVariant}
+    # a site admits a maximal or minimal insertion iff it admits any
+    assert produced[SdiVariant.GENERAL] == produced[MAXIMAL] == produced[MINIMAL]
+    for variant in SdiVariant:
+        report = is_free(variant, a, b)
+        assert report.predicate == f"{variant.value}-free"
+        if report.answer:
+            assert not produced[variant]
+        else:  # a max/min witness is a general output
+            w, base = report.witness, variant if variant is SdiVariant.ALPHABETIC else SdiVariant.GENERAL
+            assert scan_member(base, w, set(enumerate_language(a, len(w))), set(enumerate_language(b, len(w))))
+    for variant, decider in DECIDERS:
+        report = closed_under_finite_maxmin(variant, a, words)
+        if any(not membership(a, w) for w in _up_to(5, bounded_language_op(variant, hosts, words))):
+            assert not report.answer
+        if not report.answer:
+            assert decider(report.witness, a, Nfa.from_words(words, AB))
+            assert not membership(a, report.witness)
+    assert two_var_solvable(a).answer == (not enumerate_language(a, 1))
+
+
+@given(small_nfas(2), small_nfas(2))
+def test_an_equation_built_from_a_solution_is_solvable(s0, known):
+    s0, known = determinize(s0), determinize(known)
+    for variant, (build, _, _) in INSERTIONS.items():
+        for side in UnknownSide:
+            result = build(s0, known) if side is UnknownSide.LEFT else build(known, s0)
+            solution = solve(EquationSpec(side, variant, known, result))
+            assert solution.solvable and is_subset(s0, solution.candidate)
+
+
+@given(
+    st.frozensets(st.text("ab", max_size=5), max_size=6),
+    st.frozensets(st.text("ab", max_size=5), max_size=6),
+    st.text("01s", max_size=8),
+    st.data(),
+)
+def test_the_oracle_is_self_consistent(hosts, inserted, t, data):
+    # x and y as long as the symbols t takes from each
+    x = data.draw(st.text("ab", min_size=len(t) - t.count("1"), max_size=len(t) - t.count("1")))
+    y = data.draw(st.text("ab", min_size=len(t) - t.count("0"), max_size=len(t) - t.count("0")))
+    out = shuffle_on_trajectory(x, y, t)
+    assert out is None or len(out) == len(x) + len(y) - t.count("s") == len(t)
+    assert shuffle_on_trajectory(x + "a", y, t) is None
+    hosts, sigma_plus = set(hosts), set(WORDS_5[1:])
+    for variant in SdiVariant:
+        scanned = scan_language(variant, WORDS_5, hosts, set(inserted))
+        assert scanned == _up_to(5, bounded_language_op(variant, hosts, inserted))
+        assert scan_language(variant, WORDS_5, hosts, None) == scan_language(variant, WORDS_5, hosts, sigma_plus)
 
 
 def _trajectory_words(t, max_len, key):

@@ -8,7 +8,9 @@ from sdikit import (
     Nfa,
     SdiVariant,
     asdi_nfa_direct,
+    bounded_language_op,
     enumerate_language,
+    equivalent,
     finite_into_regular,
     is_subset,
     max_sdi_membership,
@@ -16,10 +18,12 @@ from sdikit import (
     membership,
     min_sdi_membership,
     min_sdi_single_nfa,
+    named_trajectory,
     regular_max_sdi_finite,
     scan_member,
     sdi_nfa_direct,
     sdi_strings,
+    shuffle_nfa,
     unbordered,
 )
 from sdikit.complexity import random_nfa
@@ -39,6 +43,24 @@ def test_sdi_direct_examples():
     assert enumerate_language(sdi_nfa_direct(a, a), 4) == ["ab"]
     short = Nfa.from_word("a", AB)
     assert enumerate_language(sdi_nfa_direct(short, a), 6) == []
+
+
+def test_sdi_direct_agrees_with_trajectory_construction():
+    rng = random.Random(101)
+    t_sdi = named_trajectory("T_sdi").language
+    for _ in range(15):
+        a = random_nfa(rng, rng.randint(1, 4), AB)
+        b = random_nfa(rng, rng.randint(1, 4), AB)
+        assert equivalent(sdi_nfa_direct(a, b), shuffle_nfa(a, b, t_sdi))
+
+
+def test_sdi_direct_size_bound():
+    rng = random.Random(103)
+    for _ in range(25):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = random_nfa(rng, m, AB), random_nfa(rng, n, AB)
+        assert sdi_nfa_direct(a, b).state_count <= 3 * m * n + 2 * m
+        assert asdi_nfa_direct(a, b).state_count <= m * n + 2 * m
 
 
 def test_asdi_direct_examples():
@@ -102,6 +124,31 @@ def test_single_word_rejects_short_inserts():
         min_sdi_single_nfa(Nfa.universal(AB), "")
 
 
+@pytest.mark.parametrize("variant,single", [
+    (SdiVariant.MAXIMAL, max_sdi_single_nfa),
+    (SdiVariant.MINIMAL, min_sdi_single_nfa),
+])
+def test_single_word_matches_oracle(variant, single):
+    rng = random.Random(109 if variant is SdiVariant.MAXIMAL else 113)
+    for _ in range(30):
+        a = random_nfa(rng, 3, AB)
+        y = rand_word(rng, 2, 4)
+        got = set(enumerate_language(single(a, y), 9))
+        hosts = set(enumerate_language(a, 9))
+        expected = {w for w in bounded_language_op(variant, hosts, {y}) if len(w) <= 9}
+        assert got == expected, (y,)
+
+
+def test_max_single_refines_general():
+    rng = random.Random(127)
+    for _ in range(10):
+        a = random_nfa(rng, 3, AB)
+        y = rand_word(rng, 2, 4)
+        refined = max_sdi_single_nfa(a, y)
+        general = sdi_nfa_direct(a, Nfa.from_word(y, AB))
+        assert is_subset(refined, general)
+
+
 def test_regular_max_sdi_finite_unions_and_skips():
     host = Nfa.from_word("ababab", ABC)
     built = regular_max_sdi_finite(host, {"acbab", "a"}, SdiVariant.MAXIMAL)
@@ -115,6 +162,19 @@ def test_finite_into_regular_examples():
     got = enumerate_language(finite_into_regular(SdiVariant.MAXIMAL, {"ab"}, target), 6)
     assert got == ["acb"]
     assert enumerate_language(finite_into_regular(SdiVariant.MAXIMAL, set(), target), 6) == []
+
+
+@pytest.mark.parametrize("variant", [SdiVariant.MAXIMAL, SdiVariant.MINIMAL])
+def test_finite_into_regular_matches_oracle(variant):
+    rng = random.Random(131)
+    for _ in range(15):
+        b = random_nfa(rng, 2, AB)
+        hosts = {rand_word(rng, 2, 4), rand_word(rng, 2, 4)}
+        built = finite_into_regular(variant, hosts, b)
+        got = set(enumerate_language(built, 8))
+        inserted = set(enumerate_language(b, 8))
+        expected = {w for w in bounded_language_op(variant, hosts, inserted) if len(w) <= 8}
+        assert got == expected, (hosts,)
 
 
 def test_membership_deciders_on_golden():
@@ -139,6 +199,18 @@ def test_membership_deciders_min_examples():
     ):
         host, ins = Nfa.from_words(hosts, AB), Nfa.from_words(inserted, AB)
         assert max_sdi_membership(w, host, ins) and not min_sdi_membership(w, host, ins)
+
+
+def test_membership_deciders_against_oracle():
+    rng = random.Random(137)
+    for _ in range(200):
+        a = random_nfa(rng, rng.randint(1, 3), AB)
+        b = random_nfa(rng, rng.randint(1, 3), AB)
+        w = rand_word(rng, 0, 8)
+        hosts = set(enumerate_language(a, len(w)))
+        inserted = set(enumerate_language(b, len(w)))
+        assert max_sdi_membership(w, a, b) == scan_member(SdiVariant.MAXIMAL, w, hosts, inserted)
+        assert min_sdi_membership(w, a, b) == scan_member(SdiVariant.MINIMAL, w, hosts, inserted)
 
 
 DECIDERS = ((SdiVariant.MAXIMAL, max_sdi_membership), (SdiVariant.MINIMAL, min_sdi_membership))
@@ -241,3 +313,13 @@ def test_membership_deciders_on_long_block_words():
                     assert decider(w, host, ins) == expected, (variant, w, tail)
                     seen[expected] += 1
     assert min(seen.values()) > 0, seen
+
+
+def test_max_membership_implies_general_membership():
+    rng = random.Random(139)
+    for _ in range(50):
+        a = random_nfa(rng, 2, AB)
+        b = random_nfa(rng, 2, AB)
+        w = rand_word(rng, 0, 6)
+        if max_sdi_membership(w, a, b):
+            assert membership(sdi_nfa_direct(a, b), w)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sdikit import (
@@ -8,6 +10,7 @@ from sdikit import (
     UnknownSide,
     asdi_nfa_direct,
     candidate,
+    determinize,
     enumerate_language,
     equivalent,
     is_subset,
@@ -17,6 +20,7 @@ from sdikit import (
     union_all,
     verify_solution,
 )
+from sdikit.complexity import random_nfa
 from sdikit.equations import _apply
 
 from conftest import AB, ABC, blowup
@@ -87,6 +91,33 @@ def test_verify_solution_rejects_empty_and_mutants():
     # adding a word that produces something outside R breaks the equation
     mutant = union_all([s0, Nfa.from_word("abab", AB)], AB)
     assert not verify_solution(mutant, spec)
+
+
+def test_every_verified_solution_is_inside_candidate():
+    rng = random.Random(179)
+    for _ in range(10):
+        s0 = determinize(random_nfa(rng, 2, AB))
+        known = determinize(random_nfa(rng, 2, AB))
+        result = sdi_nfa_direct(s0, known)
+        spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, result)
+        cand = candidate(spec)
+        if verify_solution(s0, spec):
+            assert is_subset(s0, cand)
+
+
+def test_round_trips_random_all_cases():
+    rng = random.Random(181)
+    for _ in range(6):
+        s0 = determinize(random_nfa(rng, rng.randint(1, 2), AB))
+        known = determinize(random_nfa(rng, rng.randint(1, 2), AB))
+        for variant, build in (
+            (SdiVariant.GENERAL, sdi_nfa_direct),
+            (SdiVariant.ALPHABETIC, asdi_nfa_direct),
+        ):
+            left_result = build(s0, known)
+            assert solve(_spec(UnknownSide.LEFT, variant, known, left_result)).solvable
+            right_result = build(known, s0)
+            assert solve(_spec(UnknownSide.RIGHT, variant, known, right_result)).solvable
 
 
 def test_candidate_empty_known_and_result_is_universal():

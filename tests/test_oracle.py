@@ -7,6 +7,7 @@ from sdikit import (
     delete_on_trajectory,
     max_sdi_strings,
     min_sdi_strings,
+    scan_language,
     scan_member,
     sdi_strings,
     shuffle_on_trajectory,
@@ -174,11 +175,48 @@ def test_asdi_equals_shuffle_over_asdi_trajectories():
             assert via_traj == asdi_strings(x, y), (x, y)
 
 
+def test_shuffle_output_length_accounting():
+    rng = random.Random(47)
+    for _ in range(200):
+        x = "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+        y = "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+        t = "".join(rng.choice("01s") for _ in range(rng.randint(0, 8)))
+        out = shuffle_on_trajectory(x, y, t)
+        if out is not None:
+            assert len(out) == len(x) + len(y) - t.count("s")
+            assert len(t) == len(out)
+
+
 def test_bounded_language_op():
     assert bounded_language_op(SdiVariant.GENERAL, {"ab"}, set()) == set()
     assert bounded_language_op(SdiVariant.GENERAL, {"ab"}, {"ab"}) == {"ab"}
     both = bounded_language_op(SdiVariant.MAXIMAL, {"ababab"}, {"acbab"})
     assert both == {"acbabab", "abacbab", "ababacbab"}
+
+
+def test_scan_language_matches_literal_op():
+    rng = random.Random(53)
+    candidates = all_words("ab", 5)
+    for _ in range(20):
+        hosts = {w for w in candidates if rng.random() < 0.2}
+        inserted = {w for w in candidates if rng.random() < 0.2}
+        for variant in SdiVariant:
+            literal = {
+                w for w in bounded_language_op(variant, hosts, inserted) if len(w) <= 5
+            }
+            assert scan_language(variant, candidates, hosts, inserted) == literal
+
+
+def test_scan_language_sigma_plus_mode():
+    rng = random.Random(59)
+    candidates = all_words("ab", 5)
+    sigma_plus = set(all_words("ab", 5, min_len=1))
+    for _ in range(10):
+        hosts = {w for w in candidates if rng.random() < 0.25}
+        for variant in SdiVariant:
+            explicit = scan_language(variant, candidates, hosts, sigma_plus)
+            implicit = scan_language(variant, candidates, hosts, None)
+            assert explicit == implicit
 
 
 def test_scan_member_single_words():

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from sdikit import Dfa, InputError, Nfa, canonicalize
+from sdikit import Dfa, InputError, Nfa, canonicalize, determinize, equivalent
+from sdikit.complexity import random_nfa
 from sdikit.textio import (
     FormatError,
     parse_automaton,
@@ -44,6 +45,33 @@ def test_parse_sample():
 def test_round_trip_is_identity_on_canonical_text():
     text = serialize_automaton(parse_automaton(SAMPLE))
     assert serialize_automaton(parse_automaton(text)) == text
+
+
+def test_round_trip_preserves_language():
+    rng = random.Random(31)
+    for _ in range(20):
+        a = random_nfa(rng, rng.randint(1, 4), AB)
+        b = parse_automaton(serialize_automaton(a))
+        assert equivalent(a, b)
+
+
+def test_serialization_is_deterministic():
+    rng = random.Random(37)
+    a = determinize(random_nfa(rng, 4, AB))
+    assert serialize_automaton(a) == serialize_automaton(a)
+    # the same DFA with shuffled state ids serializes identically; an NFA's
+    # text also depends on the id order of its nondeterministic targets
+    order = list(range(a.state_count))
+    rng.shuffle(order)
+    perm = dict(enumerate(order))
+    b = Dfa(
+        a.alphabet,
+        a.state_count,
+        perm[a.initial],
+        frozenset(perm[q] for q in a.finals),
+        frozenset((perm[s], sym, perm[t]) for s, sym, t in a.transitions),
+    )
+    assert serialize_automaton(a) == serialize_automaton(b)
 
 
 def _sorted_triples_text(a):

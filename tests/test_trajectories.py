@@ -10,12 +10,15 @@ from sdikit import (
     SdiVariant,
     TrajectoryKind,
     TrajectoryLanguage,
+    asdi_nfa_direct,
     complement,
     delete_on_trajectory,
     deletion_nfa,
     enumerate_language,
+    equivalent,
     membership,
     named_trajectory,
+    product_intersection,
     scan_language,
     shuffle_nfa,
     trim,
@@ -143,6 +146,25 @@ def test_operand_alphabets_must_match(build, name):
         build(Nfa.universal(AB), Nfa.universal(ABC), named_trajectory(name).language)
 
 
+def test_shuffle_product_size_bound():
+    rng = random.Random(71)
+    t_sdi = named_trajectory("T_sdi").language
+    for _ in range(10):
+        a = random_nfa(rng, rng.randint(1, 4), AB)
+        b = random_nfa(rng, rng.randint(1, 4), AB)
+        built = shuffle_nfa(a, b, t_sdi)
+        assert built.state_count <= a.state_count * b.state_count * t_sdi.automaton.state_count
+
+
+def test_asdi_identity_with_trajectory_construction():
+    rng = random.Random(73)
+    t_asdi = named_trajectory("T_asdi").language
+    for _ in range(15):
+        a = random_nfa(rng, rng.randint(1, 3), AB)
+        b = random_nfa(rng, rng.randint(1, 3), AB)
+        assert equivalent(shuffle_nfa(a, b, t_asdi), asdi_nfa_direct(a, b))
+
+
 def test_deletion_idistar_contains_expected():
     from sdikit import Alphabet
 
@@ -155,6 +177,29 @@ def test_deletion_idistar_contains_expected():
             frozenset({(0, "i", 0), (0, "d", 1), (1, "i", 1)})),
     )
     assert enumerate_language(deletion_nfa(x, y, traj), 4) == ["ac"]
+
+
+def test_deletion_sync_star_is_intersection():
+    sync_star = TrajectoryLanguage(
+        TrajectoryKind.DELETION,
+        Nfa(DELETION_ALPHABET, 1, 0, frozenset({0}), frozenset({(0, "s", 0)})),
+    )
+    rng = random.Random(79)
+    for _ in range(10):
+        a, b = random_nfa(rng, 3, AB), random_nfa(rng, 3, AB)
+        assert equivalent(deletion_nfa(a, b, sync_star), product_intersection(a, b))
+
+
+def test_deletion_keep_star_with_epsilon_is_identity():
+    keep_star = TrajectoryLanguage(
+        TrajectoryKind.DELETION,
+        Nfa(DELETION_ALPHABET, 1, 0, frozenset({0}), frozenset({(0, "i", 0)})),
+    )
+    eps = Nfa.from_word("", AB)
+    rng = random.Random(83)
+    for _ in range(10):
+        a = random_nfa(rng, rng.randint(1, 4), AB)
+        assert equivalent(deletion_nfa(a, eps, keep_star), a)
 
 
 def _t1_trajectories(xlen):

@@ -6,7 +6,9 @@ automaton on u, the insert automaton alone on z with the host state
 frozen, jointly again on v, then the host alone.  Entering and leaving
 each overlap phase consumes at least one symbol, which enforces u, v
 nonempty.  Reachable states only, so the sizes stay within m + 3mn + m
-for the general and m + mn + m for the alphabetic variant.
+for the general and m + mn + m for the alphabetic variant.  Max/min
+insertion into finite host words is one walk of the same phases along
+the hosts, with two offset sets for the maximality windows and one cap.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import cache
 from typing import Iterator
 
 from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, trim, union_all
-from .automata import complement, enumerate_language, product_intersection, DEFAULT_STATE_CAP
+from .automata import enumerate_language, DEFAULT_STATE_CAP
 from .oracle import SdiVariant, unbordered
 
 
@@ -237,62 +239,30 @@ def min_sdi_single_nfa(a: Nfa, y: Word) -> Nfa:
     return _single_nfa(a, y, False)
 
 
+def _finite_operand(variant: SdiVariant, words: set[Word] | list[Word], alphabet: Alphabet) -> list[Word]:
+    """The distinct words of a finite operand in (len, w) order, which
+    fixes the bytes built from them, each checked against `alphabet`."""
+    if variant not in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+        raise InputError("variant must be maximal or minimal")
+    ordered = sorted(set(words), key=lambda w: (len(w), w))
+    for w in ordered:
+        alphabet.check_word(w)
+    return ordered
+
+
 def regular_max_sdi_finite(a: Nfa, words: set[Word] | list[Word], variant: SdiVariant) -> Nfa:
     """L(a) max/min-inserted with each word of a finite language.
 
     Every word is checked against the alphabet first; words shorter
     than 2 admit no nontrivial outfix and are then skipped.
     """
-    if variant not in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
-        raise InputError("variant must be maximal or minimal")
+    ordered = _finite_operand(variant, words, a.alphabet)
     build = max_sdi_single_nfa if variant is SdiVariant.MAXIMAL else min_sdi_single_nfa
-    ordered = sorted(set(words), key=lambda w: (len(w), w))
-    for y in ordered:
-        a.alphabet.check_word(y)
     parts = [build(a, y) for y in ordered if len(y) >= 2]
     return trim(union_all(parts, a.alphabet))
 
 
 # -- finite host language, regular inserted language ----------------------
-
-
-def _infix_nfa(prefix: Word, suffix: Word, alphabet: Alphabet) -> Nfa:
-    """Automaton for prefix·Σ*·suffix."""
-    np, ns = len(prefix), len(suffix)
-    loop = np
-    trans: set[tuple[int, str, int]] = set()
-    for idx, sym in enumerate(prefix):
-        trans.add((idx, sym, idx + 1))
-    for sym in alphabet:
-        trans.add((loop, sym, loop))
-    if ns:
-        trans.add((loop, suffix[0], loop + 1))
-        for idx in range(1, ns):
-            trans.add((loop + idx, suffix[idx], loop + idx + 1))
-    return Nfa(alphabet, np + ns + 1, 0, frozenset({np + ns}), frozenset(trans))
-
-
-def _concat_fixed(prefix: Word, core: Nfa, suffix: Word) -> Nfa:
-    """Automaton for prefix·L(core)·suffix with fixed words on both sides."""
-    npre, nsuf = len(prefix), len(suffix)
-    off_core = npre
-    off_suf = npre + core.state_count
-    trans: set[tuple[int, str, int]] = set()
-    for idx in range(npre - 1):
-        trans.add((idx, prefix[idx], idx + 1))
-    if npre:
-        trans.add((npre - 1, prefix[-1], off_core + core.initial))
-    trans.update((src + off_core, sym, dst + off_core) for src, sym, dst in core.transitions)
-    if nsuf:
-        for fin in core.finals:
-            trans.add((fin + off_core, suffix[0], off_suf))
-        for idx in range(1, nsuf):
-            trans.add((off_suf + idx - 1, suffix[idx], off_suf + idx))
-        finals = frozenset({off_suf + nsuf - 1})
-    else:
-        finals = frozenset(fin + off_core for fin in core.finals)
-    initial = 0 if npre else off_core + core.initial
-    return Nfa(core.alphabet, npre + core.state_count + nsuf, initial, finals, frozenset(trans))
 
 
 def finite_into_regular(
@@ -303,38 +273,66 @@ def finite_into_regular(
 ) -> Nfa:
     """Max/min insertion of the regular language L(a) into finite host words.
 
-    For every host x = x1·u·v·x2 the inserted words are constrained to
-    u·Σ*·v, intersected with L(a); for the maximal variant the finitely
-    many extended-outfix languages x1'·u·Σ*·v·x2' are excluded.
+    One walk reads w = x1·u·z·v·x2 for a host x = x1·u·v·x2 and y = u·z·v
+    in L(a): u and v with x and `a` together, z with `a` alone, host
+    prefixes and suffixes shared by the hosts.  Minimal needs u and v
+    unbordered.  Maximal keeps `_maximal_site_in_word`'s two windows open
+    with two sets over z: `left`, the unmatched lengths of the x[b-m:b]
+    with x[p-m:b-m] = u (z matching one whole gives x1'·u = u·z'), and
+    `right`, the m with z ending in x[b:b+m] (x[b+m:e+m] = v then gives
+    v·x2' = z''·v).  `cap` bounds the keys of the whole walk.
     """
-    if variant not in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
-        raise InputError("variant must be maximal or minimal")
-    alphabet = a.alphabet
-    parts: list[Nfa] = []
-    for x in sorted(set(words), key=lambda w: (len(w), w)):
-        alphabet.check_word(x)
-        for p in range(len(x)):
-            for i in range(1, len(x) - p + 1):
-                for m in range(1, len(x) - p - i + 1):
-                    x1, u = x[:p], x[p : p + i]
-                    v, x2 = x[p + i : p + i + m], x[p + i + m :]
-                    if variant is SdiVariant.MINIMAL and not (unbordered(u) and unbordered(v)):
-                        continue
-                    allowed = product_intersection(a, _infix_nfa(u, v, alphabet))
-                    if variant is SdiVariant.MAXIMAL:
-                        extended = [
-                            _infix_nfa(x1[len(x1) - lp :] + u, v + x2[:lq], alphabet)
-                            for lp in range(len(x1) + 1)
-                            for lq in range(len(x2) + 1)
-                            if lp or lq
-                        ]
-                        if extended:
-                            blocked = union_all(extended, alphabet)
-                            allowed = product_intersection(allowed, complement(blocked, cap))
-                    part = trim(_concat_fixed(x1, allowed, x2))
-                    if part.finals:
-                        parts.append(part)
-    return trim(union_all(parts, alphabet))
+    hosts = _finite_operand(variant, words, a.alphabet)
+    maximal = variant is SdiVariant.MAXIMAL
+    prefixes = {x[:i] for x in hosts for i in range(len(x) + 1)}
+
+    def expand(key):
+        phase = key[0]
+        if phase == "pre":
+            _, s = key
+            p = len(s)
+            for sym in a.alphabet:
+                if s + sym in prefixes:
+                    yield sym, ("pre", s + sym)
+            for x in hosts:
+                if len(x) > p + 1 and x.startswith(s):
+                    for q in a.successors(a.initial, x[p]):
+                        yield x[p], ("u", x, p, p + 1, q)
+        elif phase == "u":  # u = x[p:b], and v = x[b:e] is still to come
+            _, x, p, b, q = key
+            if b + 1 < len(x):
+                for q2 in a.successors(q, x[b]):
+                    yield x[b], ("u", x, p, b + 1, q2)
+            if maximal or unbordered(x[p:b]):
+                left = frozenset(m for m in range(1, p + 1) if maximal and x[p - m : b - m] == x[p:b])
+                yield None, ("z", x, b, q, left, frozenset())
+        elif phase == "z":
+            _, x, b, q, left, right = key
+            for q2 in a.successors(q, x[b]):
+                yield x[b], ("v", x, b, b + 1, q2, right)
+            for sym in a.alphabet:
+                if 1 in left and x[b - 1] == sym:  # z completes a piece: x1'·u = u·z'
+                    continue
+                left2 = frozenset(r - 1 for r in left if r > 1 and x[b - r] == sym)
+                right2 = frozenset(
+                    m + 1 for m in (0, *right) if maximal and b + m + 1 < len(x) and x[b + m] == sym
+                )
+                for q2 in a.successors(q, sym):
+                    yield sym, ("z", x, b, q2, left2, right2)
+        elif phase == "v":
+            _, x, b, e, q, right = key
+            if e < len(x):
+                for q2 in a.successors(q, x[e]):
+                    yield x[e], ("v", x, b, e + 1, q2, right)
+            v = x[b:e]
+            if q in a.finals and (maximal or unbordered(v)) and all(x[b + m : e + m] != v for m in right):
+                yield None, ("post", x[e:])
+        else:  # post
+            _, rest = key
+            if rest:
+                yield rest[0], ("post", rest[1:])
+
+    return trim(_explore(a.alphabet, ("pre", ""), expand, lambda key: key == ("post", ""), cap))
 
 
 # -- polynomial membership deciders ---------------------------------------

@@ -241,38 +241,6 @@ def test_subset_pair_search_cap():
         equivalent(a, a, cap=1)
 
 
-def test_determinize_preserves_language():
-    rng = random.Random(13)
-    for _ in range(20):
-        a = random_nfa(rng, rng.randint(1, 4), AB)
-        assert equivalent(a, determinize(a))
-
-
-def test_double_complement():
-    rng = random.Random(17)
-    for _ in range(10):
-        d = determinize(random_nfa(rng, rng.randint(1, 3), AB))
-        assert equivalent(complement(complement(d)), d)
-
-
-def test_product_enumeration_agrees_with_set_intersection():
-    rng = random.Random(19)
-    for _ in range(10):
-        a, b = random_nfa(rng, 3, AB), random_nfa(rng, 3, AB)
-        prod = set(enumerate_language(product_intersection(a, b), 6))
-        byhand = set(enumerate_language(a, 6)) & set(enumerate_language(b, 6))
-        assert prod == byhand
-
-
-def test_membership_matches_enumeration():
-    rng = random.Random(23)
-    for _ in range(5):
-        a = random_nfa(rng, 3, AB)
-        words = set(enumerate_language(a, 5))
-        for w in all_words("ab", 5):
-            assert membership(a, w) == (w in words)
-
-
 def test_enumerate_examples():
     astar = Nfa(Alphabet.from_string("a"), 1, 0, frozenset({0}), frozenset({(0, "a", 0)}))
     assert enumerate_language(astar, 2) == ["", "a", "aa"]

@@ -6,9 +6,11 @@ from sdikit import (
     Alphabet,
     InputError,
     Nfa,
+    ResourceLimitError,
     SdiVariant,
     asdi_nfa_direct,
     bounded_language_op,
+    complement,
     enumerate_language,
     equivalent,
     finite_into_regular,
@@ -19,12 +21,14 @@ from sdikit import (
     min_sdi_membership,
     min_sdi_single_nfa,
     named_trajectory,
+    product_intersection,
     regular_max_sdi_finite,
     scan_member,
     sdi_nfa_direct,
     sdi_strings,
     shuffle_nfa,
     unbordered,
+    union_all,
 )
 from sdikit.complexity import random_nfa
 from sdikit.constructions import _maximal_site_in_word
@@ -162,6 +166,98 @@ def test_finite_into_regular_examples():
     got = enumerate_language(finite_into_regular(SdiVariant.MAXIMAL, {"ab"}, target), 6)
     assert got == ["acb"]
     assert enumerate_language(finite_into_regular(SdiVariant.MAXIMAL, set(), target), 6) == []
+    # the one site that inserts a letter, a·a·a·b (x1·u·z·v), is closed by
+    # x1' = a at the left window's last offset m = p = 1; b·a·a·a mirrors it
+    for word in ("aab", "baa"):
+        got = enumerate_language(finite_into_regular(SdiVariant.MAXIMAL, {word}, Nfa.from_word(word, AB)), 6)
+        assert got == [word]
+
+
+def _infix_nfa(prefix, suffix, alphabet):
+    """Automaton for prefix·Σ*·suffix."""
+    np, ns = len(prefix), len(suffix)
+    trans = {(idx, sym, idx + 1) for idx, sym in enumerate(prefix)}
+    trans |= {(np, sym, np) for sym in alphabet}
+    trans |= {(np + idx, sym, np + idx + 1) for idx, sym in enumerate(suffix)}
+    return Nfa(alphabet, np + ns + 1, 0, frozenset({np + ns}), frozenset(trans))
+
+
+def _concat_fixed(prefix, core, suffix):
+    """Automaton for prefix·L(core)·suffix with fixed words on both sides."""
+    npre, nsuf, off_suf = len(prefix), len(suffix), len(prefix) + core.state_count
+    trans = {(idx, sym, idx + 1) for idx, sym in enumerate(prefix[:-1])}
+    if npre:
+        trans.add((npre - 1, prefix[-1], npre + core.initial))
+    trans |= {(src + npre, sym, dst + npre) for src, sym, dst in core.transitions}
+    if nsuf:
+        trans |= {(fin + npre, suffix[0], off_suf) for fin in core.finals}
+        trans |= {(off_suf + idx - 1, suffix[idx], off_suf + idx) for idx in range(1, nsuf)}
+        finals = frozenset({off_suf + nsuf - 1})
+    else:
+        finals = frozenset(fin + npre for fin in core.finals)
+    initial = 0 if npre else npre + core.initial
+    return Nfa(core.alphabet, off_suf + nsuf, initial, finals, frozenset(trans))
+
+
+def _per_site_finite_into_regular(variant, words, a):
+    """The construction `finite_into_regular` had before its one walk: per
+    host x = x1·u·v·x2, L(a) ∩ u·Σ*·v, for maximal minus the complement of
+    every extended outfix x1'·u·Σ*·v·x2', between x1 and x2."""
+    alphabet, parts = a.alphabet, []
+    for x in sorted(set(words)):
+        for p in range(len(x)):
+            for i in range(1, len(x) - p + 1):
+                for m in range(1, len(x) - p - i + 1):
+                    x1, u, v, x2 = x[:p], x[p : p + i], x[p + i : p + i + m], x[p + i + m :]
+                    if variant is SdiVariant.MINIMAL and not (unbordered(u) and unbordered(v)):
+                        continue
+                    allowed = product_intersection(a, _infix_nfa(u, v, alphabet))
+                    extended = [
+                        _infix_nfa(x1[len(x1) - lp :] + u, v + x2[:lq], alphabet)
+                        for lp in range(len(x1) + 1)
+                        for lq in range(len(x2) + 1)
+                        if (lp or lq) and variant is SdiVariant.MAXIMAL
+                    ]
+                    if extended:
+                        allowed = product_intersection(allowed, complement(union_all(extended, alphabet)))
+                    parts.append(_concat_fixed(x1, allowed, x2))
+    return union_all(parts, alphabet)
+
+
+def test_finite_into_regular_matches_the_per_site_construction():
+    rng = random.Random(163)
+    seen = {"no hosts": 0, "duplicates": 0, "abc": 0, "no finals": 0, "unreachable": 0, True: 0, False: 0}
+    for _ in range(150):
+        alphabet = ABC if rng.random() < 0.3 else AB
+        sigma = "".join(alphabet)
+        n = rng.randint(1, 4)
+        a = random_nfa(rng, n, alphabet)
+        if rng.random() < 0.15:
+            a = Nfa(alphabet, n, 0, frozenset(), a.transitions)
+        elif rng.random() < 0.25:  # state n is unreachable but can move into the rest
+            moves = {(n, sym, rng.randrange(n)) for sym in alphabet}
+            a = Nfa(alphabet, n + 1, 0, a.finals | {n}, a.transitions | moves)
+        hosts = [rand_word(rng, 0, 6, sigma) for _ in range(rng.randint(0, 3))]
+        hosts += rng.sample(hosts, min(len(hosts), rng.randint(0, 1)))
+        seen["no hosts"] += not hosts
+        seen["duplicates"] += len(set(hosts)) < len(hosts)
+        seen["abc"] += alphabet == ABC
+        seen["no finals"] += not a.finals
+        seen["unreachable"] += a.state_count > n
+        for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+            built = finite_into_regular(variant, hosts, a)
+            assert equivalent(built, _per_site_finite_into_regular(variant, hosts, a)), (variant, hosts, a)
+            seen[bool(built.finals)] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_finite_into_regular_cap_boundary():
+    # the golden case: the walk numbers 97 keys, which `trim` cuts to 61 states
+    hosts, a = ["abab", "aab"], random_nfa(random.Random(30), 4, AB, density=0.3)
+    assert finite_into_regular(SdiVariant.MAXIMAL, hosts, a, cap=97).state_count == 61
+    with pytest.raises(ResourceLimitError) as raised:
+        finite_into_regular(SdiVariant.MAXIMAL, hosts, a, cap=96)
+    assert str(raised.value) == "exploration exceeded 96 states"
 
 
 @pytest.mark.parametrize("variant", [SdiVariant.MAXIMAL, SdiVariant.MINIMAL])
@@ -183,6 +279,12 @@ def test_membership_deciders_on_golden():
     assert max_sdi_membership("abacbab", host, ins)
     assert not max_sdi_membership("abacbabab", host, ins)
     assert membership(sdi_nfa_direct(host, ins), "abacbabab")
+    # the only sites are closed at the last offset of the left window
+    # (x1' = a before u = a) or, mirrored, of the right one (x2' = a after v = a)
+    for w, word in (("aaab", "aab"), ("baaa", "baa")):
+        inserted = Nfa.from_word(word, AB)
+        assert not max_sdi_membership(w, inserted, inserted)
+        assert not scan_member(SdiVariant.MAXIMAL, w, {word}, {word})
 
 
 def test_membership_deciders_min_examples():

@@ -135,8 +135,8 @@ GOLDEN = {
     "min_sdi_single_aaaa": "7a31cbf7c15f016745a93d096e62b9d5907ec47750cb9716bdf638d5f23de48f",
     "min_sdi_single_aabaa": "fe66d4913cbb09ab0cacea612a70b9beebadb7b7ac61ae5594ac0f46cf2fd1e4",
     "regular_min_sdi_finite": "b1e5a05278ca5694c30ed8687212372bdd20d4b6c5a2ba5d1ef39c0c3e56c611",
-    "finite_into_regular_max": "0f21a1b908080a333afdb4d74ab30cf13516520271ec2fa1d1092c6205d136b1",
-    "finite_into_regular_min": "e0ad80686413e2a86042f34c863a29996dda2b25d979ca119428fc1429478bfd",
+    "finite_into_regular_max": "dec8e04ad7d694a99101f520a16eb9a3628b925a5f029e774280ad10e8910c3f",
+    "finite_into_regular_min": "3226bc87d7658b4e836517ca168711c0ef0b7e6ddb8e0e34d054dba7c27ad225",
     "equation_candidate": "0aa5e80c116f29923785979c39904d3b26a3a39b826fc63c07633b0c31bca9e7",
 }
 

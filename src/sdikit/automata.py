@@ -5,20 +5,21 @@ and no epsilon transitions.  All values are immutable after construction;
 every operation is a pure function of its inputs.  One routine,
 `_OnDemand._number`, numbers every reachable-state construction: the
 start state is 0, each new state takes the next id (and its finality)
-when first reached, at most `DEFAULT_STATE_CAP` by default.  `_explore`
-runs it eagerly from a LIFO worklist and returns the automaton, its
-epsilon moves folded away; `_OnDemand` runs it as far as a subset walk
-steps it.  Transitions are stored once, as the successor rows
-`Nfa._delta` {(state, symbol): ascending targets}, which `_explore`
-builds itself and `Nfa(...)` reads off its triples; no other module
-reads `_delta` or builds from rows.  Per-state walks read the rows;
-subset walks (membership, subset construction, enumeration, the
-shortest word, the inclusion/equivalence search) step int bitsets over
-`Nfa._masks`.
+when first reached.  `_explore` runs it eagerly from a LIFO worklist
+and returns the automaton, its epsilon moves folded away; `_OnDemand`
+runs it as far as a subset walk steps it.  It and the inclusion and
+equivalence search read the one state budget, `DEFAULT_STATE_CAP`, when
+they run; no function takes a budget of its own.  Transitions are
+stored once, as the successor rows `Nfa._delta` {(state, symbol):
+ascending targets}, which `_explore` builds itself and `Nfa(...)` reads
+off its triples; no other module reads `_delta` or builds from rows.
+Per-state walks read the rows; subset walks (membership, subset
+construction, enumeration, the shortest word, the inclusion/equivalence
+search) step int bitsets over `Nfa._masks`.
 `determinize` and `complement` are one subset construction,
 `_subset_dfa`: `complement` takes any NFA, keeps only the reachable
 subsets, the empty one as the sink of the total DFA, and counts the
-sink against `cap`.
+sink against the state budget.
 `shortest_word` is the one emptiness search and steps each state once.
 Freeness, independence, solution verification and the SDI closure check
 step the SDI construction (and its product with an automaton,
@@ -40,6 +41,7 @@ Word = str
 #: transition arrow.
 RESERVED_CHARS = frozenset("#->")
 
+#: The most states a construction numbers, and pairs a subset-pair search explores.
 DEFAULT_STATE_CAP = 2**20
 
 
@@ -269,7 +271,6 @@ def _explore(
     start: Hashable,
     expand: Callable[[Hashable], Iterable[tuple[str | None, Hashable]]],
     is_final: Callable[[Hashable], bool],
-    cap: int = DEFAULT_STATE_CAP,
     cls: type[Nfa] = Nfa,
 ) -> Nfa:
     """The `cls` automaton over `alphabet` of the keys reachable from
@@ -283,9 +284,9 @@ def _explore(
     epsilon moves are folded, so the language is empty exactly when
     there is no final state; a state entered only by epsilon moves
     keeps its id but is unreachable afterwards.  Raises
-    ResourceLimitError when more than `cap` keys are reached.
+    ResourceLimitError when more keys than the budget are reached.
     """
-    run = _OnDemand((), start, expand, is_final, cap)  # no alphabet: no mask rows
+    run = _OnDemand((), start, expand, is_final)  # no alphabet: no mask rows
     ids, keys, number = run._ids, run._keys, run._number
     stack = [0]
     rows: dict = {}
@@ -345,7 +346,7 @@ class _OnDemand:
     `alphabet`, `initial`, `state_count` (the keys numbered so far),
     `_step` and `_final_bits` (which grows as `_step` numbers keys).
     Moves carry symbols, never None.  Raises ResourceLimitError when
-    more than `cap` keys are numbered.
+    more keys than the budget are numbered.
     """
 
     initial = 0
@@ -356,10 +357,9 @@ class _OnDemand:
         start: Hashable,
         expand: Callable[[Hashable], Iterable[tuple[str, Hashable]]],
         is_final: Callable[[Hashable], bool],
-        cap: int = DEFAULT_STATE_CAP,
     ):
         self.alphabet = alphabet
-        self._expand, self._is_final, self._cap = expand, is_final, cap
+        self._expand, self._is_final = expand, is_final
         self._ids: dict[Hashable, int] = {}
         self._keys: list[Hashable] = []
         self._finals: list[int] = []
@@ -375,9 +375,9 @@ class _OnDemand:
 
     def _number(self, key: Hashable) -> int:
         """Give `key`, which has no id yet, the next one."""
-        sid = len(self._keys)
-        if sid >= self._cap:
-            raise ResourceLimitError(f"exploration exceeded {self._cap} states", {"cap": self._cap})
+        sid, cap = len(self._keys), DEFAULT_STATE_CAP
+        if sid >= cap:
+            raise ResourceLimitError(f"exploration exceeded {cap} states", {"cap": cap})
         self._ids[key] = sid
         self._keys.append(key)
         if self._is_final(key):
@@ -455,12 +455,12 @@ def membership(a: Nfa, word: Word) -> bool:
     return bool(states & a._final_bits)
 
 
-def _subset_dfa(a: Nfa, flip: bool, cap: int) -> Dfa:
+def _subset_dfa(a: Nfa, flip: bool) -> Dfa:
     """Subset construction over the reachable subsets of `a`.  With
     `flip`, the empty subset is kept as the sink, so the DFA is total,
     and finality is inverted: the complement of L(a).
 
-    Raises ResourceLimitError when more than `cap` subsets appear.
+    Raises ResourceLimitError when more subsets than the budget appear.
     """
     symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
 
@@ -470,28 +470,28 @@ def _subset_dfa(a: Nfa, flip: bool, cap: int) -> Dfa:
                 yield sym, nxt
 
     return _explore(
-        a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, cap, Dfa
+        a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, Dfa
     )
 
 
-def determinize(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def determinize(a: Nfa) -> Dfa:
     """Subset construction, reachable nonempty subsets only: a possibly
     partial DFA.
 
-    Raises ResourceLimitError when more than `cap` subset states appear.
+    Raises ResourceLimitError when more subsets than the budget appear.
     """
-    return _subset_dfa(a, False, cap)
+    return _subset_dfa(a, False)
 
 
-def complement(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def complement(a: Nfa) -> Dfa:
     """Total DFA for Σ* − L(a), for any NFA `a`: the reachable subsets of
     `a`, the empty one (the sink) included when some move reaches it,
     with finality inverted.
 
-    Raises ResourceLimitError when more than `cap` subsets, the sink
-    counted, appear.
+    Raises ResourceLimitError when more subsets than the budget, the
+    sink counted, appear.
     """
-    return _subset_dfa(a, True, cap)
+    return _subset_dfa(a, True)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
@@ -621,7 +621,7 @@ def canonicalize(a: Nfa) -> Nfa:
     return type(a)._from_rows(a.alphabet, count, 0, finals, rows)
 
 
-def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool, cap: int) -> Word | None:
+def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool) -> Word | None:
     """Length-lex least word accepted by `a` but not by `b` (by exactly
     one of them when `equivalence`), or None when there is none.
 
@@ -635,7 +635,7 @@ def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool, c
     Either side may be an `_OnDemand` construction: the search reads only
     `_step` and `_final_bits`, the latter afresh for every pair, since
     stepping numbers new states.  Raises ResourceLimitError when more
-    than `cap` pairs are explored.
+    pairs than the budget are explored.
     """
     symbols = _require_same_alphabet(a.alphabet, b).symbols
     memo_a: dict[int, list[int]] = {}
@@ -651,6 +651,7 @@ def _subset_witness(a: Nfa | _OnDemand, b: Nfa | _OnDemand, equivalence: bool, c
         in_a, in_b = bool(pair[0] & a._final_bits), bool(pair[1] & b._final_bits)
         return in_a != in_b if equivalence else in_a and not in_b
 
+    cap = DEFAULT_STATE_CAP
     start = (1 << a.initial, 1 << b.initial)
     parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {start: None}
     found = start if breaks(start) else None
@@ -687,25 +688,25 @@ def _trace_back(parent: Mapping[Hashable, tuple[Hashable, str] | None], found: H
     return "".join(reversed(word))
 
 
-def inclusion_witness(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> Word | None:
+def inclusion_witness(a: Nfa, b: Nfa) -> Word | None:
     """Length-lex least word of L(a) − L(b), or None when L(a) ⊆ L(b)."""
-    return _subset_witness(a, b, False, cap)
+    return _subset_witness(a, b, False)
 
 
-def equivalence_witness(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> Word | None:
+def equivalence_witness(a: Nfa, b: Nfa) -> Word | None:
     """Length-lex least word in exactly one of L(a), L(b), or None when
     the languages are equal."""
-    return _subset_witness(a, b, True, cap)
+    return _subset_witness(a, b, True)
 
 
-def is_subset(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_subset(a: Nfa, b: Nfa) -> bool:
     """L(a) ⊆ L(b)."""
-    return inclusion_witness(a, b, cap) is None
+    return inclusion_witness(a, b) is None
 
 
-def equivalent(a: Nfa, b: Nfa, cap: int = DEFAULT_STATE_CAP) -> bool:
+def equivalent(a: Nfa, b: Nfa) -> bool:
     """L(a) = L(b)."""
-    return equivalence_witness(a, b, cap) is None
+    return equivalence_witness(a, b) is None
 
 
 def enumerate_language(a: Nfa, max_len: int) -> list[Word]:

@@ -8,7 +8,8 @@ each overlap phase consumes at least one symbol, which enforces u, v
 nonempty.  Reachable states only, so the sizes stay within m + 3mn + m
 for the general and m + mn + m for the alphabetic variant.  Max/min
 insertion into finite host words is one walk of the same phases along
-the hosts, with two offset sets for the maximality windows and one cap.
+the hosts, with two offset sets for the maximality windows.  Each walk
+here is an `_explore` run, bounded by the one state budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cache
 from typing import Iterator
 
 from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, trim, union_all
-from .automata import enumerate_language, DEFAULT_STATE_CAP
+from .automata import enumerate_language
 from .oracle import SdiVariant, unbordered
 
 
@@ -265,12 +266,7 @@ def regular_max_sdi_finite(a: Nfa, words: set[Word] | list[Word], variant: SdiVa
 # -- finite host language, regular inserted language ----------------------
 
 
-def finite_into_regular(
-    variant: SdiVariant,
-    words: set[Word] | list[Word],
-    a: Nfa,
-    cap: int = DEFAULT_STATE_CAP,
-) -> Nfa:
+def finite_into_regular(variant: SdiVariant, words: set[Word] | list[Word], a: Nfa) -> Nfa:
     """Max/min insertion of the regular language L(a) into finite host words.
 
     One walk reads w = x1·u·z·v·x2 for a host x = x1·u·v·x2 and y = u·z·v
@@ -280,7 +276,7 @@ def finite_into_regular(
     with two sets over z: `left`, the unmatched lengths of the x[b-m:b]
     with x[p-m:b-m] = u (z matching one whole gives x1'·u = u·z'), and
     `right`, the m with z ending in x[b:b+m] (x[b+m:e+m] = v then gives
-    v·x2' = z''·v).  `cap` bounds the keys of the whole walk.
+    v·x2' = z''·v).  The state budget bounds the keys of the whole walk.
     """
     hosts = _finite_operand(variant, words, a.alphabet)
     maximal = variant is SdiVariant.MAXIMAL
@@ -332,7 +328,7 @@ def finite_into_regular(
             if rest:
                 yield rest[0], ("post", rest[1:])
 
-    return trim(_explore(a.alphabet, ("pre", ""), expand, lambda key: key == ("post", ""), cap))
+    return trim(_explore(a.alphabet, ("pre", ""), expand, lambda key: key == ("post", "")))
 
 
 # -- polynomial membership deciders ---------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automata import (
-    DEFAULT_STATE_CAP,
     Nfa,
     Word,
     _meet_parts,
@@ -25,7 +24,7 @@ from .automata import (
     _require_same_alphabet,
     inclusion_witness,
     membership,
-    product_intersection,
+    product_intersection,  # unused here; bench/tests patches `decide.product_intersection`
     shortest_word,
 )
 from .constructions import (
@@ -81,22 +80,20 @@ def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
     return _emptiness_report(f"{variant.value}-independent", search)
 
 
-def is_closed_under_sdi(a: Nfa, cap: int = DEFAULT_STATE_CAP) -> DecisionReport:
+def is_closed_under_sdi(a: Nfa) -> DecisionReport:
     """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may
-    explore more than `cap` subset pairs, reported as a resource error."""
+    exceed the state budget, reported as a resource error."""
     grown = _OnDemand(a.alphabet, *_sdi_parts(a, a))
-    witness = inclusion_witness(grown, a, cap)
+    witness = inclusion_witness(grown, a)
     return DecisionReport(
         "closed-sdi", witness is None, witness, {"explored_states": grown.state_count}
     )
 
 
-def closed_under_finite_maxmin(
-    variant: SdiVariant, a: Nfa, words: set[Word] | list[Word], cap: int = DEFAULT_STATE_CAP
-) -> DecisionReport:
+def closed_under_finite_maxmin(variant: SdiVariant, a: Nfa, words: set[Word] | list[Word]) -> DecisionReport:
     """L(a) max/min-inserted with a finite language stays inside L(a)?"""
     grown = regular_max_sdi_finite(a, words, variant)
-    witness = inclusion_witness(grown, a, cap)
+    witness = inclusion_witness(grown, a)
     return DecisionReport(
         f"{variant.value}-closed-finite",
         witness is None,
@@ -110,9 +107,11 @@ def two_var_solvable(r: Nfa) -> DecisionReport:
 
     Solvable exactly when every word of L(r) has length at least two;
     an insertion output always contains the nonempty matched prefix and
-    suffix, so no output is shorter than two symbols.
+    suffix, so no output is shorter than two symbols.  The length-lex
+    least word is also a shortest one: the witness if it is that short.
     """
-    witness = shortest_word(product_intersection(r, Nfa.at_most_one_symbol(r.alphabet)))
+    shortest = shortest_word(r)
+    witness = shortest if shortest is not None and len(shortest) < 2 else None
     return DecisionReport("two-var-solvable", witness is None, witness, {})
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
-    DEFAULT_STATE_CAP,
     Dfa,
     InputError,
     Nfa,
@@ -70,12 +69,12 @@ _TRAJECTORY_FOR_CASE = {
 }
 
 
-def candidate(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> Dfa:
+def candidate(spec: EquationSpec) -> Dfa:
     """Maximal solution candidate: the complement of deleting the known
     operand from the complement of the result along the inverse
     trajectories for the unknown side."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
-    return complement(deletion_nfa(complement(spec.result, cap), spec.known, traj), cap)
+    return complement(deletion_nfa(complement(spec.result), spec.known, traj))
 
 
 def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:
@@ -85,20 +84,20 @@ def _apply(solution: Nfa, spec: EquationSpec) -> _OnDemand:
     return _OnDemand(spec.known.alphabet, *parts(host, inserted))
 
 
-def verify_solution(solution: Nfa, spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> bool:
+def verify_solution(solution: Nfa, spec: EquationSpec) -> bool:
     """Does substituting `solution` for X satisfy the equation exactly?"""
-    return equivalent(_apply(solution, spec), spec.result, cap)
+    return equivalent(_apply(solution, spec), spec.result)
 
 
-def solve(spec: EquationSpec, cap: int = DEFAULT_STATE_CAP) -> EquationSolution:
+def solve(spec: EquationSpec) -> EquationSolution:
     """Decide the equation and produce the maximal candidate.
 
     The candidate is a superset of all solutions; the equation is solvable
     iff the candidate verifies.
     """
-    cand = candidate(spec, cap)
+    cand = candidate(spec)
     try:
-        ok = verify_solution(cand, spec, cap)
+        ok = verify_solution(cand, spec)
     except ResourceLimitError as exc:
         raise EquationResourceError(f"verification hit the state cap: {exc}", cand) from exc
     return EquationSolution(solvable=ok, candidate=cand)

@@ -193,7 +193,7 @@ def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], list]) -> di
     it visits the other keys, and their relative ids, as they were; an
     epsilon closure loses only targets over dead pairs, and `trim` drops
     all of these keys anyway.  So the trimmed automaton keeps its bytes,
-    and the state cap counts only keys over live pairs.
+    and the state budget counts only keys over live pairs.
     """
     pairs = itertools.product(range(b.state_count), range(traj.state_count))
     moves = {(q, r): [(sym, steps(q, r, sym)) for sym in b.alphabet] for q, r in pairs}

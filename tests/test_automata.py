@@ -93,11 +93,12 @@ def test_determinize_examples():
     assert d.state_count == 1 and not d.finals
 
 
-def test_determinize_cap():
+def test_determinize_cap(monkeypatch):
     rng = random.Random(3)
     a = random_nfa(rng, 6, AB, density=0.6)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        determinize(a, cap=1)
+        determinize(a)
 
 
 def test_complement_examples():
@@ -117,17 +118,21 @@ def test_complement_builds_one_automaton(monkeypatch):
     assert len(built) == 1 and built[0] is comp
 
 
-def test_complement_cap_boundary():
+def test_complement_cap_boundary(monkeypatch):
     k = 6
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2 ** (k + 1) - 1)
     with pytest.raises(ResourceLimitError, match="exploration exceeded"):
-        complement(blowup(k), cap=2 ** (k + 1) - 1)
-    assert complement(blowup(k), cap=2 ** (k + 1)).state_count == 2 ** (k + 1)
-    # {0}, {1}, {2} and the empty subset: the sink counts against the cap
+        complement(blowup(k))
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2 ** (k + 1))
+    assert complement(blowup(k)).state_count == 2 ** (k + 1)
+    # {0}, {1}, {2} and the empty subset: the sink counts against the budget
     ab = Nfa.from_word("ab", AB)
-    assert determinize(ab, cap=3).state_count == 3
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3)
+    assert determinize(ab).state_count == 3
     with pytest.raises(ResourceLimitError, match="exploration exceeded"):
-        complement(ab, cap=3)
-    assert complement(ab, cap=4).state_count == 4
+        complement(ab)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 4)
+    assert complement(ab).state_count == 4
 
 
 def test_product_intersection_examples():
@@ -232,13 +237,14 @@ def test_equivalence_sees_words_only_the_right_side_accepts():
     assert equivalence_witness(b, a) == "abb"
 
 
-def test_subset_pair_search_cap():
+def test_subset_pair_search_cap(monkeypatch):
     a = astar_b()
     assert is_subset(a, a) and equivalent(a, a)
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 1)
     with pytest.raises(ResourceLimitError):
-        is_subset(a, a, cap=1)
+        is_subset(a, a)
     with pytest.raises(ResourceLimitError):
-        equivalent(a, a, cap=1)
+        equivalent(a, a)
 
 
 def test_enumerate_examples():
@@ -354,7 +360,8 @@ def _closure(seeds, edges):
     return seen
 
 
-def test_bitset_walks_match_frozenset_reference():
+def test_bitset_walks_match_frozenset_reference(monkeypatch):
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 400)
     rng = random.Random(41)
     shapes = dict.fromkeys(["initial != 0", "unreachable", "dead", "no finals", "over 64", "cap"], 0)
     for _ in range(100):
@@ -378,11 +385,11 @@ def test_bitset_walks_match_frozenset_reference():
         if subsets is None:
             shapes["cap"] += 1
             with pytest.raises(ResourceLimitError):
-                determinize(a, cap=400)
+                determinize(a)
             continue
         shapes["over 64"] += a.state_count > 64
         assert shortest_word(a) == sim.shortest()
-        d = determinize(a, cap=400)
+        d = determinize(a)
         assert d.state_count == len(subsets)
         assert enumerate_language(d, max_len) == expected
         assert [membership(d, w) for w in probes] == [sim.accepts(w) for w in probes]
@@ -419,11 +426,13 @@ def test_shortest_word_steps_each_state_once(monkeypatch):
     assert not any(p & q for i, p in enumerate(calls) for q in calls[i + 1 :])
 
 
-def test_determinize_cap_boundary():
+def test_determinize_cap_boundary(monkeypatch):
     k = 9
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2 ** (k + 1) - 1)
     with pytest.raises(ResourceLimitError):
-        determinize(blowup(k), cap=2 ** (k + 1) - 1)
-    assert determinize(blowup(k), cap=2 ** (k + 1)).state_count == 2 ** (k + 1)
+        determinize(blowup(k))
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2 ** (k + 1))
+    assert determinize(blowup(k)).state_count == 2 ** (k + 1)
 
 
 def _wide_nfa(rng, alphabet=None, most=100):
@@ -434,18 +443,34 @@ def _wide_nfa(rng, alphabet=None, most=100):
             return a
 
 
-def _witness_or_cap(search, a, b):
-    try:
-        return search(a, b, cap=300)
-    except ResourceLimitError as exc:
-        return str(exc)
+def _witness_or_cap(monkeypatch, search, a, b):
+    with monkeypatch.context() as budget:
+        budget.setattr(automata, "DEFAULT_STATE_CAP", 300)
+        try:
+            return search(a, b)
+        except ResourceLimitError as exc:
+            return str(exc)
 
 
-def test_on_demand_searches_match_the_built_construction():
+def _on_demand_outcome(monkeypatch, search, built, on_demand, b):
+    """The witness (or budget error) of `search` over `on_demand`, which
+    must be that over `built`, unless the on-demand walk numbered more
+    states than the budget: then `built`, which holds every state the
+    walk can number, has more as well."""
+    expected = _witness_or_cap(monkeypatch, search, built, b)
+    got = _witness_or_cap(monkeypatch, search, on_demand, b)
+    if got != expected:
+        assert got == "exploration exceeded 300 states" and built.state_count > 300, (got, expected)
+    return got
+
+
+def test_on_demand_searches_match_the_built_construction(monkeypatch):
     # verification and closure step the construction on demand; their
-    # witnesses (or their pair-cap errors) must be those of the built one
+    # witnesses (or their pair-budget errors) must be those of the built one
     rng = random.Random(73)
-    shapes = dict.fromkeys(["initial != 0", "unreachable", "dead", "no finals", "over 64", "equal"], 0)
+    shapes = dict.fromkeys(
+        ["initial != 0", "unreachable", "dead", "no finals", "over 64", "equal", "state budget", "pair budget"], 0
+    )
     for _ in range(20):
         sol = _wide_nfa(rng)
         known, other = _wide_nfa(rng, sol.alphabet, 6), _wide_nfa(rng, sol.alphabet)
@@ -456,26 +481,30 @@ def test_on_demand_searches_match_the_built_construction():
         shapes["dead"] += bool(reach - live)
         shapes["no finals"] += not sol.finals
         shapes["over 64"] += sol.state_count > 64
+        outcomes = []
         for side in UnknownSide:
             for variant, build in ((SdiVariant.GENERAL, sdi_nfa_direct), (SdiVariant.ALPHABETIC, asdi_nfa_direct)):
                 built = build(sol, known) if side is UnknownSide.LEFT else build(known, sol)
                 for result in (other, built):
                     spec = EquationSpec(side, variant, known, result)
-                    expected = _witness_or_cap(equivalence_witness, built, result)
-                    assert _witness_or_cap(equivalence_witness, _apply(sol, spec), result) == expected
-                    shapes["equal"] += expected is None
+                    outcomes.append(
+                        _on_demand_outcome(monkeypatch, equivalence_witness, built, _apply(sol, spec), result)
+                    )
         grown = automata._OnDemand(sol.alphabet, *_sdi_parts(sol, sol))
-        expected = _witness_or_cap(inclusion_witness, sdi_nfa_direct(sol, sol), sol)
-        assert _witness_or_cap(inclusion_witness, grown, sol) == expected
+        outcomes.append(_on_demand_outcome(monkeypatch, inclusion_witness, sdi_nfa_direct(sol, sol), grown, sol))
+        shapes["equal"] += outcomes.count(None)
+        shapes["state budget"] += outcomes.count("exploration exceeded 300 states")
+        shapes["pair budget"] += sum(o is not None and o.startswith("subset-pair search") for o in outcomes)
     assert min(shapes.values()) >= 3, shapes
 
 
-def test_on_demand_cap_boundary():
+def test_on_demand_cap_boundary(monkeypatch):
     a = ba_blocks(1, "ab", AB)
     total = sdi_nfa_direct(a, a).state_count
 
     def number_all(cap):
-        grown = automata._OnDemand(a.alphabet, *_sdi_parts(a, a), cap=cap)
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
+        grown = automata._OnDemand(a.alphabet, *_sdi_parts(a, a))
         q = 0
         while q < grown.state_count:  # step every numbered state in turn
             grown._step(1 << q)
@@ -486,7 +515,7 @@ def test_on_demand_cap_boundary():
     with pytest.raises(ResourceLimitError) as on_demand:
         number_all(total - 1)
     with pytest.raises(ResourceLimitError) as built:
-        automata._explore(a.alphabet, *_sdi_parts(a, a), cap=total - 1)
+        automata._explore(a.alphabet, *_sdi_parts(a, a))
     assert str(on_demand.value) == str(built.value) == f"exploration exceeded {total - 1} states"
     assert on_demand.value.details == built.value.details == {"cap": total - 1}
 
@@ -591,10 +620,12 @@ def test_rows_store_matches_the_triples(monkeypatch):
         b = Nfa(a.alphabet, b.state_count, b.initial, b.finals,
                 frozenset(t for t in b.transitions if t[1] in a.alphabet))
         built += [trim(a), canonicalize(a), product_intersection(a, b)]
-        try:
-            built.append(determinize(a, cap=4096))
-        except ResourceLimitError:
-            pass
+        with monkeypatch.context() as budget:
+            budget.setattr(automata, "DEFAULT_STATE_CAP", 4096)
+            try:
+                built.append(determinize(a))
+            except ResourceLimitError:
+                pass
     assert max(c.state_count for c in built) > 64 and any(isinstance(c, Dfa) for c in built)
     # a deletion product whose epsilon rows are folded away
     eliminate, carried = automata._eliminate_epsilon, []
@@ -612,20 +643,45 @@ def test_rows_store_matches_the_triples(monkeypatch):
         assert (delta, masks) == _store_from_triples(c)
 
 
+def _source_trees():
+    modules = sorted(Path(automata.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+
+
+def _named(tree, imports=True):
+    """The names and attributes `tree` mentions, and those it imports."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+    return named
+
+
 def test_only_automata_names_the_rows():
     """No other module builds from, reads or folds the successor rows."""
     private = {"_from_rows", "_delta", "_eliminate_epsilon"}
-    modules = sorted(Path(automata.__file__).parent.glob("*.py"))
-    assert len(modules) > 5
-    for path in modules:
-        if path.name == "automata.py":
-            continue
-        named = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                named.update(alias.name for alias in node.names)
-        assert not named & private, (path.name, sorted(named & private))
+    for name, tree in _source_trees().items():
+        if name != "automata.py":
+            assert not _named(tree) & private, (name, sorted(_named(tree) & private))
+
+
+def test_one_state_budget():
+    """No function takes a `cap`.  Only `automata` names the budget (the
+    package `__init__` exports it), read by the two walks that count."""
+    readers = set()
+    for name, tree in _source_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                assert "cap" not in {p.arg for p in params if p}, (name, getattr(node, "name", "lambda"))
+                if name == "automata.py" and "DEFAULT_STATE_CAP" in _named(node):
+                    readers.add(getattr(node, "name", "lambda"))
+        if name != "automata.py":
+            assert "DEFAULT_STATE_CAP" not in _named(tree, imports=name != "__init__.py"), name
+    assert readers == {"_number", "_subset_witness"}

@@ -404,3 +404,36 @@ def test_op_trajectory_variants_read_words(files, capsys, variant, trajectory):
     assert capsys.readouterr().out == expected
     assert main(common + [files["r.nfa"], files["pair.nfa"], "--words", words]) == 2
     assert "--words replaces the second positional operand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["op", "--variant", "sdi", "lab.nfa", "lab.nfa", "--out", "out.nfa"],
+        ["decide", "closed-sdi", "lab.nfa"],
+        ["solve", "--side", "left", "--variant", "sdi", "lab.nfa", "r.nfa", "--out", "out.nfa"],
+    ],
+)
+def test_state_budget_exits_3(files, capsys, monkeypatch, argv):
+    # SDI of ab into ab has 7 states; the solve's candidate needs 9 and hits the budget first
+    files["out.nfa"] = files["tmp"] + "/out.nfa"
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 6)
+    assert main([files.get(arg, arg) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: exploration exceeded 6 states\n")
+    assert not os.path.exists(files["out.nfa"])
+
+
+def test_solve_writes_the_candidate_when_verification_hits_the_budget(files, capsys, monkeypatch):
+    argv = ["solve", "--side", "left", "--variant", "sdi", files["lab.nfa"], files["r.nfa"], "--out"]
+    full, kept = files["tmp"] + "/full.nfa", files["tmp"] + "/kept.nfa"
+    assert main([*argv, full]) == 0
+    capsys.readouterr()
+    # the candidate is built within 12 states; verifying it needs 24
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 12)
+    assert main([*argv, kept]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap hit: verification hit the state cap: "), captured.err
+    with open(full, "rb") as want, open(kept, "rb") as got:
+        assert got.read() == want.read()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sdikit import automata
 from sdikit import (
     Alphabet,
     InputError,
@@ -20,13 +21,11 @@ from sdikit import (
     membership,
     min_sdi_membership,
     min_sdi_single_nfa,
-    named_trajectory,
     product_intersection,
     regular_max_sdi_finite,
     scan_member,
     sdi_nfa_direct,
     sdi_strings,
-    shuffle_nfa,
     unbordered,
     union_all,
 )
@@ -47,24 +46,6 @@ def test_sdi_direct_examples():
     assert enumerate_language(sdi_nfa_direct(a, a), 4) == ["ab"]
     short = Nfa.from_word("a", AB)
     assert enumerate_language(sdi_nfa_direct(short, a), 6) == []
-
-
-def test_sdi_direct_agrees_with_trajectory_construction():
-    rng = random.Random(101)
-    t_sdi = named_trajectory("T_sdi").language
-    for _ in range(15):
-        a = random_nfa(rng, rng.randint(1, 4), AB)
-        b = random_nfa(rng, rng.randint(1, 4), AB)
-        assert equivalent(sdi_nfa_direct(a, b), shuffle_nfa(a, b, t_sdi))
-
-
-def test_sdi_direct_size_bound():
-    rng = random.Random(103)
-    for _ in range(25):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a, b = random_nfa(rng, m, AB), random_nfa(rng, n, AB)
-        assert sdi_nfa_direct(a, b).state_count <= 3 * m * n + 2 * m
-        assert asdi_nfa_direct(a, b).state_count <= m * n + 2 * m
 
 
 def test_asdi_direct_examples():
@@ -251,12 +232,14 @@ def test_finite_into_regular_matches_the_per_site_construction():
     assert min(seen.values()) > 0, seen
 
 
-def test_finite_into_regular_cap_boundary():
+def test_finite_into_regular_cap_boundary(monkeypatch):
     # the golden case: the walk numbers 97 keys, which `trim` cuts to 61 states
     hosts, a = ["abab", "aab"], random_nfa(random.Random(30), 4, AB, density=0.3)
-    assert finite_into_regular(SdiVariant.MAXIMAL, hosts, a, cap=97).state_count == 61
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 97)
+    assert finite_into_regular(SdiVariant.MAXIMAL, hosts, a).state_count == 61
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 96)
     with pytest.raises(ResourceLimitError) as raised:
-        finite_into_regular(SdiVariant.MAXIMAL, hosts, a, cap=96)
+        finite_into_regular(SdiVariant.MAXIMAL, hosts, a)
     assert str(raised.value) == "exploration exceeded 96 states"
 
 

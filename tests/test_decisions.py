@@ -3,10 +3,11 @@ from functools import partial
 
 import pytest
 
-from sdikit import constructions, decide
+from sdikit import automata, constructions, decide
 from sdikit import (
     InputError,
     Nfa,
+    ResourceLimitError,
     SdiVariant,
     asdi_nfa_direct,
     bounded_insertion_words,
@@ -14,6 +15,7 @@ from sdikit import (
     closed_under_finite_maxmin,
     closure_counterexample_search,
     enumerate_language,
+    inclusion_witness,
     is_closed_under_sdi,
     is_free,
     is_independent,
@@ -113,6 +115,17 @@ def test_closed_under_sdi_examples():
         assert report.witness is not None
         assert membership(sdi_nfa_direct(a_plus_b, a_plus_b), report.witness)
         assert not membership(a_plus_b, report.witness)
+
+
+def test_closed_sdi_counts_the_construction_against_the_budget(monkeypatch):
+    # every state is reachable: 6 + 3·36 + 6 = 120 keys, found in under 40 pairs
+    a = random_nfa(random.Random(3), 6, AB, density=0.6)
+    grown = sdi_nfa_direct(a, a)
+    assert is_closed_under_sdi(a).resources == {"explored_states": 120} == {"explored_states": grown.state_count}
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 40)
+    assert inclusion_witness(grown, a) is None
+    with pytest.raises(ResourceLimitError, match="^exploration exceeded 40 states$"):
+        is_closed_under_sdi(a)
 
 
 def test_closed_under_finite_maxmin_examples():

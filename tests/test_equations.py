@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from sdikit import automata
 from sdikit import (
     EquationSpec,
     InputError,
     Nfa,
+    ResourceLimitError,
     SdiVariant,
     UnknownSide,
     asdi_nfa_direct,
@@ -118,6 +120,15 @@ def test_round_trips_random_all_cases():
             assert solve(_spec(UnknownSide.LEFT, variant, known, left_result)).solvable
             right_result = build(known, s0)
             assert solve(_spec(UnknownSide.RIGHT, variant, known, right_result)).solvable
+
+
+def test_candidate_counts_the_deletion_against_the_budget(monkeypatch):
+    # the trimmed deletion product alone has 94 states, more than the candidate
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, Nfa.from_words({"ab", "ba", "abb"}, AB), blowup(3))
+    assert candidate(spec).state_count == 46
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 46)
+    with pytest.raises(ResourceLimitError, match="^exploration exceeded 46 states$"):
+        candidate(spec)
 
 
 def test_candidate_empty_known_and_result_is_universal():

@@ -10,7 +10,6 @@ from sdikit import (
     SdiVariant,
     TrajectoryKind,
     TrajectoryLanguage,
-    asdi_nfa_direct,
     complement,
     delete_on_trajectory,
     deletion_nfa,
@@ -144,25 +143,6 @@ def test_shuffle_kind_mismatch():
 def test_operand_alphabets_must_match(build, name):
     with pytest.raises(InputError, match="^operand alphabets differ$"):
         build(Nfa.universal(AB), Nfa.universal(ABC), named_trajectory(name).language)
-
-
-def test_shuffle_product_size_bound():
-    rng = random.Random(71)
-    t_sdi = named_trajectory("T_sdi").language
-    for _ in range(10):
-        a = random_nfa(rng, rng.randint(1, 4), AB)
-        b = random_nfa(rng, rng.randint(1, 4), AB)
-        built = shuffle_nfa(a, b, t_sdi)
-        assert built.state_count <= a.state_count * b.state_count * t_sdi.automaton.state_count
-
-
-def test_asdi_identity_with_trajectory_construction():
-    rng = random.Random(73)
-    t_asdi = named_trajectory("T_asdi").language
-    for _ in range(15):
-        a = random_nfa(rng, rng.randint(1, 3), AB)
-        b = random_nfa(rng, rng.randint(1, 3), AB)
-        assert equivalent(shuffle_nfa(a, b, t_asdi), asdi_nfa_direct(a, b))
 
 
 def test_deletion_idistar_contains_expected():

@@ -9,10 +9,13 @@ when first reached.  `_explore` runs it eagerly from a LIFO worklist
 and returns the automaton, its epsilon moves folded away; `_OnDemand`
 runs it as far as a subset walk steps it.  It and the inclusion and
 equivalence search read the one state budget, `DEFAULT_STATE_CAP`, when
-they run; no function takes a budget of its own.  Transitions are
-stored once, as the successor rows `Nfa._delta` {(state, symbol):
-ascending targets}, which `_explore` builds itself and `Nfa(...)` reads
-off its triples; no other module reads `_delta` or builds from rows.
+they run, and `union_all` before it builds; no function takes a budget
+of its own.  Transitions are stored once, as the successor rows
+`Nfa._delta` {(state, symbol): ascending targets}: constructions hand
+theirs to `Nfa(...)`, which groups any other automaton's triples into
+rows, and every automaton is checked once, over its rows.  No other
+module reads `_delta`, builds from rows or compares operand alphabets
+(`_require_same_alphabet`).
 Per-state walks read the rows; subset walks (membership, subset
 construction, enumeration, the shortest word, the inclusion/equivalence
 search) step int bitsets over `Nfa._masks`.
@@ -32,7 +35,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 Word = str
 
@@ -100,15 +103,10 @@ class Alphabet:
         return word
 
 
-class _Rows(NamedTuple):
-    """Successor rows that `Nfa._from_rows` hands to `Nfa(...)` in place of triples."""
-
-    rows: dict
-
-
 class _RowsView:
-    """`Nfa.transitions` of a rows-built automaton, made from `_delta` on first read.  `Nfa(...)`
-    stores its frozenset as an instance attribute, which wins over this non-data descriptor."""
+    """`Nfa.transitions` of a rows-built automaton, made from `_delta` on first read.  A
+    triple-built `Nfa` stores its frozenset as an instance attribute, which wins over this
+    non-data descriptor."""
 
     def __get__(self, a: "Nfa | None", owner: type | None = None) -> frozenset:
         if a is None:  # no class-level default: the field stays required
@@ -119,7 +117,8 @@ class _RowsView:
 
 @dataclass(frozen=True)
 class Nfa:
-    """NFA with a single initial state and transition triples (from, symbol, to); one
+    """NFA with a single initial state and transition triples (from, symbol, to), built
+    from triples or, by `_from_rows`, from rows; either way `_check` reads `_delta` once.  One
     built from rows equals, hashes and prints as its triple-built twin (`_RowsView`)."""
 
     alphabet: Alphabet
@@ -131,20 +130,24 @@ class Nfa:
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
         given = vars(self).pop("transitions")
-        if given.__class__ is _Rows:  # from `_from_rows`: `transitions` stays the view
-            rows = vars(self)["_delta"] = given.rows
-            self._check((src, sym, row[0], row[-1]) for (src, sym), row in rows.items())
+        if given.__class__ is dict:  # rows from `_from_rows`: `transitions` stays the view
+            vars(self)["_delta"] = given
         else:
-            vars(self)["transitions"] = frozenset(given)
-            self._check((src, sym, dst, dst) for src, sym, dst in self.transitions)
+            triples = vars(self)["transitions"] = frozenset(given)
+            rows = vars(self)["_delta"] = {}
+            for src, sym, dst in triples:
+                rows.setdefault((src, sym), []).append(dst)
+            for key, dsts in rows.items():
+                rows[key] = tuple(sorted(dsts))
+        self._check()
 
     @classmethod
     def _from_rows(cls, alphabet: Alphabet, count: int, initial: int, finals, rows: dict) -> "Nfa":
         """The automaton whose `_delta` is `rows` (targets nonempty, distinct, ascending)."""
-        return cls(alphabet, count, initial, finals, _Rows(rows))
+        return cls(alphabet, count, initial, finals, rows)
 
-    def _check(self, moves: Iterable[tuple[int, str, int, int]]) -> None:
-        """Every check of a new automaton: its states, then (src, sym, least, greatest target)s."""
+    def _check(self) -> None:
+        """Every check of a new automaton: its states, then each row of `_delta`."""
         count, symbols = self.state_count, self.alphabet._symbol_set
         if count < 1:
             raise InputError("automaton needs at least one state")
@@ -153,7 +156,8 @@ class Nfa:
         for q in self.finals:
             if not 0 <= q < count:
                 raise InputError(f"final state {q} out of range")
-        for src, sym, lo, hi in moves:
+        for (src, sym), row in self._delta.items():
+            lo, hi = row[0], row[-1]
             if not (0 <= src < count and lo >= 0 and hi < count):
                 dst = hi if 0 <= src < count and lo >= 0 else lo
                 raise InputError(f"transition ({src}, {sym!r}, {dst}) out of range")
@@ -168,14 +172,6 @@ class Nfa:
 
     def __hash__(self) -> int:
         return hash(self._fields())
-
-    @cached_property
-    def _delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
-        """The successor rows, targets ascending; `Nfa(...)` reads them off its triples."""
-        table: dict[tuple[int, str], list[int]] = {}
-        for src, sym, dst in self.transitions:
-            table.setdefault((src, sym), []).append(dst)
-        return {key: tuple(sorted(dsts)) for key, dsts in table.items()}
 
     @cached_property
     def _masks(self) -> dict[str, list[int]]:
@@ -247,8 +243,8 @@ class Nfa:
 class Dfa(Nfa):
     """Possibly partial DFA: at most one successor per (state, symbol)."""
 
-    def _check(self, moves: Iterable[tuple[int, str, int, int]]) -> None:
-        super()._check(moves)
+    def _check(self) -> None:
+        super()._check()
         if not is_deterministic(self):
             src, sym = next(key for key, dsts in self._delta.items() if len(dsts) > 1)
             raise InputError(f"nondeterministic on ({src}, {sym!r})")
@@ -259,10 +255,9 @@ def is_deterministic(a: Nfa) -> bool:
 
 
 def _require_same_alphabet(alphabet: Alphabet, a: Nfa) -> Alphabet:
+    """The one check that two operands share an alphabet: `alphabet`, when `a` is over it."""
     if alphabet != a.alphabet:
-        raise InputError(
-            f"alphabet mismatch: {''.join(alphabet)!r} vs {''.join(a.alphabet)!r}"
-        )
+        raise InputError(f"operand alphabets differ: {''.join(alphabet)!r} vs {''.join(a.alphabet)!r}")
     return alphabet
 
 
@@ -529,7 +524,11 @@ def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -
 def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:
     """Single-initial union: a fresh initial state 0 mirrors the initial
     state of every operand, whose states follow in operand order (so the
-    rows of state 0 stay ascending)."""
+    rows of state 0 stay ascending).  Raises ResourceLimitError, before
+    building, when the union would have more states than the budget."""
+    cap = DEFAULT_STATE_CAP
+    if 1 + sum(a.state_count for a in automata) > cap:
+        raise ResourceLimitError(f"union exceeded {cap} states", {"cap": cap})
     rows: dict[tuple[int, str], tuple[int, ...]] = {}
     finals: list[int] = []
     offset = 1

@@ -17,15 +17,9 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, trim, union_all
-from .automata import enumerate_language
+from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, _require_same_alphabet
+from .automata import enumerate_language, trim, union_all
 from .oracle import SdiVariant, unbordered
-
-
-def _check_operands(a: Nfa, b: Nfa) -> Alphabet:
-    if a.alphabet != b.alphabet:
-        raise InputError("operand alphabets differ")
-    return a.alphabet
 
 
 def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
@@ -40,7 +34,7 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
 def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
     """The (start, expand, is_final) of `sdi_nfa_direct`, for `_explore`
     or `_OnDemand`."""
-    alphabet = _check_operands(a, b)
+    alphabet = _require_same_alphabet(a.alphabet, b)
 
     def expand(key):
         phase = key[0]
@@ -112,7 +106,7 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
 def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
     """The (start, expand, is_final) of `asdi_nfa_direct`, for `_explore`
     or `_OnDemand`."""
-    alphabet = _check_operands(a, b)
+    alphabet = _require_same_alphabet(a.alphabet, b)
 
     def expand(key):
         phase = key[0]
@@ -355,7 +349,7 @@ def _insertion_membership(variant: SdiVariant, w: Word, a: Nfa, b: Nfa) -> bool:
     inserted words w[aa:dd] as one bitset.  The site predicate, O(|w|^2),
     runs only where both are accepted (O(|w|^4) sites at worst), and the
     first valid site ends the scan."""
-    _check_operands(a, b)
+    _require_same_alphabet(a.alphabet, b)
     a.alphabet.check_word(w)
     n, masks = len(w), a._masks
     reached = [1 << a.initial]  # reached[i]: the states of `a` after w[:i]

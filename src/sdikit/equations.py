@@ -20,6 +20,7 @@ from .automata import (
     Nfa,
     ResourceLimitError,
     _OnDemand,
+    _require_same_alphabet,
     complement,
     equivalent,
 )
@@ -43,8 +44,7 @@ class EquationSpec:
     def __post_init__(self):
         if self.variant not in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
             raise InputError("equations support the general and alphabetic variants only")
-        if self.known.alphabet != self.result.alphabet:
-            raise InputError("operand alphabets differ")
+        _require_same_alphabet(self.known.alphabet, self.result)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .automata import Alphabet, InputError, Nfa, _explore, _reach, trim
+from .automata import Alphabet, InputError, Nfa, _explore, _reach, _require_same_alphabet, trim
 
 SHUFFLE_ALPHABET = Alphabet.from_string("01s")
 DELETION_ALPHABET = Alphabet.from_string("ids")
@@ -162,8 +162,7 @@ def _product(
     """
     if t.kind is not kind:
         raise InputError(f"{kind.value}_nfa needs a {kind.value}-kind trajectory language")
-    if b.alphabet != a.alphabet:
-        raise InputError("operand alphabets differ")
+    _require_same_alphabet(a.alphabet, b)
     traj = t.automaton
     table, successors = _live_moves(b, traj, steps), a.successors
 

@@ -670,9 +670,24 @@ def test_only_automata_names_the_rows():
             assert not _named(tree) & private, (name, sorted(_named(tree) & private))
 
 
+def test_only_automata_compares_operand_alphabets():
+    """Every other module checks that two operands share an alphabet by
+    calling `_require_same_alphabet`, never by comparing them itself."""
+    for name, tree in _source_trees().items():
+        compared = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and sum(isinstance(side, ast.Attribute) and side.attr == "alphabet"
+                    for side in [node.left, *node.comparators]) >= 2
+        ]
+        assert name == "automata.py" or not compared, (name, compared)
+
+
 def test_one_state_budget():
     """No function takes a `cap`.  Only `automata` names the budget (the
-    package `__init__` exports it), read by the two walks that count."""
+    package `__init__` exports it), read by the two walks that count and
+    by the union, which counts before it builds."""
     readers = set()
     for name, tree in _source_trees().items():
         for node in ast.walk(tree):
@@ -684,4 +699,4 @@ def test_one_state_budget():
                     readers.add(getattr(node, "name", "lambda"))
         if name != "automata.py":
             assert "DEFAULT_STATE_CAP" not in _named(tree, imports=name != "__init__.py"), name
-    assert readers == {"_number", "_subset_witness"}
+    assert readers == {"_number", "_subset_witness", "union_all"}

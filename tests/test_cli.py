@@ -424,6 +424,26 @@ def test_state_budget_exits_3(files, capsys, monkeypatch, argv):
     assert not os.path.exists(files["out.nfa"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["op", "--variant", "maxsdi", "a.nfa", "--words", "words.txt"],
+        ["op", "--variant", "minsdi", "a.nfa", "--words", "words.txt"],
+        ["decide", "closed-finite-max", "a.nfa", "words.txt"],
+        ["decide", "closed-finite-min", "a.nfa", "words.txt"],
+    ],
+)
+def test_per_word_union_budget_exits_3(files, capsys, monkeypatch, argv):
+    # every per-word automaton fits in 60 states, their union does not
+    files["a.nfa"], files["words.txt"] = files["tmp"] + "/a.nfa", files["tmp"] + "/words.txt"
+    save_automaton(files["a.nfa"], random_nfa(random.Random(5), 4, AB, 0.5))
+    with open(files["words.txt"], "w", encoding="utf-8") as fh:
+        fh.write("ab\nba\naab\nabb\nbab\naba\n")
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 60)
+    assert main([files.get(arg, arg) for arg in argv]) == 3
+    assert capsys.readouterr() == ("", "error: union exceeded 60 states\n")
+
+
 def test_solve_writes_the_candidate_when_verification_hits_the_budget(files, capsys, monkeypatch):
     argv = ["solve", "--side", "left", "--variant", "sdi", files["lab.nfa"], files["r.nfa"], "--out"]
     full, kept = files["tmp"] + "/full.nfa", files["tmp"] + "/kept.nfa"

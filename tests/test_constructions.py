@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -11,6 +12,7 @@ from sdikit import (
     SdiVariant,
     asdi_nfa_direct,
     bounded_language_op,
+    closed_under_finite_maxmin,
     complement,
     enumerate_language,
     equivalent,
@@ -241,6 +243,29 @@ def test_finite_into_regular_cap_boundary(monkeypatch):
     with pytest.raises(ResourceLimitError) as raised:
         finite_into_regular(SdiVariant.MAXIMAL, hosts, a)
     assert str(raised.value) == "exploration exceeded 96 states"
+
+
+UNION_WORDS = ["ab", "ba", "aab", "abb", "bab", "aba"]
+
+
+@pytest.mark.parametrize("variant", [SdiVariant.MAXIMAL, SdiVariant.MINIMAL])
+def test_the_per_word_union_counts_against_the_budget(monkeypatch, variant):
+    # each per-word automaton fits in 60 states; their union has 200 (maximal) or 129 (minimal)
+    a = random_nfa(random.Random(5), 4, AB, 0.5)
+    single = max_sdi_single_nfa if variant is SdiVariant.MAXIMAL else min_sdi_single_nfa
+    parts = [single(a, y) for y in UNION_WORDS]
+    union_states = 1 + sum(part.state_count for part in parts)
+    assert max(part.state_count for part in parts) <= 60 < union_states
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", union_states)
+    assert union_all(parts, AB).state_count == union_states
+    regular_max_sdi_finite(a, UNION_WORDS, variant)
+    for cap in (union_states - 1, 60):
+        monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
+        for call in (partial(union_all, parts, AB), partial(regular_max_sdi_finite, a, UNION_WORDS, variant),
+                     partial(closed_under_finite_maxmin, variant, a, UNION_WORDS)):
+            with pytest.raises(ResourceLimitError) as raised:
+                call()
+            assert (str(raised.value), raised.value.details) == (f"union exceeded {cap} states", {"cap": cap})
 
 
 @pytest.mark.parametrize("variant", [SdiVariant.MAXIMAL, SdiVariant.MINIMAL])

@@ -261,9 +261,9 @@ def test_on_demand_predicates_match_the_built_path():
 
 
 def test_independence_rejects_an_alphabet_mismatch():
-    with pytest.raises(InputError, match="alphabet mismatch"):
+    with pytest.raises(InputError, match="^operand alphabets differ: 'ab' vs 'abc'$"):
         is_independent(SdiVariant.GENERAL, Nfa.universal(AB), Nfa.universal(ABC))
-    with pytest.raises(InputError, match="alphabet mismatch"):
+    with pytest.raises(InputError, match="^operand alphabets differ: 'ab' vs 'abc'$"):
         is_independent(SdiVariant.ALPHABETIC, Nfa.universal(AB), Nfa.universal(ABC))
 
 

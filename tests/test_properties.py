@@ -2,6 +2,7 @@
 profile from conftest.py)."""
 
 from collections import defaultdict
+from functools import cache
 
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,9 @@ from sdikit import (
     TrajectoryLanguage,
     UnknownSide,
     asdi_nfa_direct,
+    asdi_strings,
     bounded_language_op,
+    canonicalize,
     closed_under_finite_maxmin,
     complement,
     delete_on_trajectory,
@@ -24,6 +27,7 @@ from sdikit import (
     equivalent,
     finite_into_regular,
     is_free,
+    is_independent,
     is_subset,
     max_sdi_membership,
     max_sdi_single_nfa,
@@ -141,6 +145,7 @@ def test_algebra_and_text_preserve_the_language(a, b, data):
         AB, d.state_count, perm[d.initial], frozenset(perm[q] for q in d.finals),
         frozenset((perm[src], sym, perm[dst]) for src, sym, dst in d.transitions),
     )
+    assert canonicalize(canonicalize(a)) == canonicalize(a)
     assert serialize_automaton(renumbered) == serialize_automaton(d)
 
 
@@ -170,6 +175,36 @@ def test_verdicts_carry_certificates(a, b, words):
             assert decider(report.witness, a, Nfa.from_words(words, AB))
             assert not membership(a, report.witness)
     assert two_var_solvable(a).answer == (not enumerate_language(a, 1))
+
+
+# variant -> the string operation its independence check grows hosts by
+_GROWTH = {variant: sdi_strings for variant in SdiVariant} | {SdiVariant.ALPHABETIC: asdi_strings}
+
+
+def _grows_into(op, hosts, w):
+    """Is w an output of `op` with a nonempty middle, of a host in `hosts` and a factor of w?"""
+    factors = {w[i:j] for i in range(len(w)) for j in range(i + 1, len(w) + 1)}
+    return any(w in op(x, y, require_insertion=True) for x in hosts for y in factors)
+
+
+@cache
+def _grown_up_to_5(op, x):
+    """Every output of `op` with a nonempty middle, of host x and a nonempty word, up to length 5."""
+    return {w for y in WORDS_5[1:] for w in op(x, y, require_insertion=True) if len(w) <= 5}
+
+
+@given(small_nfas(2), small_nfas(2))
+def test_independence_verdicts_carry_certificates(a, b):
+    hosts = enumerate_language(a, 4)  # a host is shorter than what it grows into
+    for variant, op in _GROWTH.items():
+        report = is_independent(variant, a, b)
+        assert report.predicate == f"{variant.value}-independent"
+        if report.answer:
+            grown = set().union(*(_grown_up_to_5(op, x) for x in hosts))
+            assert grown.isdisjoint(enumerate_language(b, 5))
+        else:
+            w = report.witness
+            assert membership(b, w) and _grows_into(op, enumerate_language(a, len(w) - 1), w)
 
 
 @given(small_nfas(2), small_nfas(2))

@@ -14,10 +14,8 @@ from sdikit import (
     delete_on_trajectory,
     deletion_nfa,
     enumerate_language,
-    equivalent,
     membership,
     named_trajectory,
-    product_intersection,
     scan_language,
     shuffle_nfa,
     trim,
@@ -141,7 +139,7 @@ def test_shuffle_kind_mismatch():
 
 @pytest.mark.parametrize("build,name", [(shuffle_nfa, "T_sdi"), (deletion_nfa, "T1")])
 def test_operand_alphabets_must_match(build, name):
-    with pytest.raises(InputError, match="^operand alphabets differ$"):
+    with pytest.raises(InputError, match="^operand alphabets differ: 'ab' vs 'abc'$"):
         build(Nfa.universal(AB), Nfa.universal(ABC), named_trajectory(name).language)
 
 
@@ -157,29 +155,6 @@ def test_deletion_idistar_contains_expected():
             frozenset({(0, "i", 0), (0, "d", 1), (1, "i", 1)})),
     )
     assert enumerate_language(deletion_nfa(x, y, traj), 4) == ["ac"]
-
-
-def test_deletion_sync_star_is_intersection():
-    sync_star = TrajectoryLanguage(
-        TrajectoryKind.DELETION,
-        Nfa(DELETION_ALPHABET, 1, 0, frozenset({0}), frozenset({(0, "s", 0)})),
-    )
-    rng = random.Random(79)
-    for _ in range(10):
-        a, b = random_nfa(rng, 3, AB), random_nfa(rng, 3, AB)
-        assert equivalent(deletion_nfa(a, b, sync_star), product_intersection(a, b))
-
-
-def test_deletion_keep_star_with_epsilon_is_identity():
-    keep_star = TrajectoryLanguage(
-        TrajectoryKind.DELETION,
-        Nfa(DELETION_ALPHABET, 1, 0, frozenset({0}), frozenset({(0, "i", 0)})),
-    )
-    eps = Nfa.from_word("", AB)
-    rng = random.Random(83)
-    for _ in range(10):
-        a = random_nfa(rng, rng.randint(1, 4), AB)
-        assert equivalent(deletion_nfa(a, eps, keep_star), a)
 
 
 def _t1_trajectories(xlen):

@@ -25,6 +25,7 @@ from .automata import (
     is_empty,
     is_finite_language,
     is_subset,
+    length_lex_words,
     membership,
     product_intersection,
     shortest_word,

@@ -709,37 +709,93 @@ def equivalent(a: Nfa, b: Nfa) -> bool:
 
 
 def enumerate_language(a: Nfa, max_len: int) -> list[Word]:
-    """All accepted words of length <= max_len, in length-then-lex order.
+    """All accepted words of length <= max_len, in length-then-lex order:
+    the list of `length_lex_words`."""
+    return list(length_lex_words(a, max_len))
 
-    A depth-first walk over prefixes that steps int bitsets of states,
-    keeping only states that can reach a final state (the walk reaches
-    no other kind).  Each distinct subset is stepped once and its steps
-    are remembered, a lazily built DFA, so the work beyond listing the
-    words grows with the subsets met, not with the prefixes.
+
+def length_lex_words(a: Nfa, max_len: int) -> Iterator[Word]:
+    """The accepted words of length <= max_len, lazily, in length-then-lex order.
+
+    One depth-first walk per length n over prefixes, stepping int
+    bitsets of states.  A prefix of d symbols is extended only into a
+    subset that meets `ahead[n - d - 1]` (`_ahead`), so every branch
+    walked ends in a word of length n; children are pushed in reverse
+    alphabet order, so the stack pops them in lex order.  Each distinct
+    subset is stepped once and its steps are remembered for every
+    length, a lazily built DFA.  Only the stack, that memo and the
+    `ahead` table are held, never the words, and a caller that stops
+    early walks no further than the word it stopped at.
     """
     if max_len < 0:
-        return []
-    useful = _mask(_coreachable(a))
+        return
+    table, loop = _ahead(a, max_len)
+    useful = reduce(or_, table)
     start = (1 << a.initial) & useful
-    if not start:
-        return []
+    last = max_len
+    if loop is not None:
+        period = len(table) - loop
+        if not any(start & bits for bits in table[loop:]):
+            last = min(last, loop - 1)  # no length past the table has a word
+
+    def ahead(r: int) -> int:
+        return table[r] if r < len(table) else table[loop + (r - loop) % period]
+
     # pushed in reverse alphabet order, so the stack pops them in order
-    masks, finals = dict(reversed(a._masks.items())), a._final_bits
+    masks = dict(reversed(a._masks.items()))
     symbols = tuple(masks)
+    lex = a.alphabet.symbols
     memo: dict[int, tuple[int, ...]] = {}
-    out: list[Word] = []
-    stack: list[tuple[int, str]] = [(start, "")]
-    while stack:
-        subset, prefix = stack.pop()
-        if subset & finals:
-            out.append(prefix)
-        if len(prefix) < max_len:
+    for n in range(last + 1):
+        if not start & ahead(n):
+            continue
+        if n == 0:
+            yield ""
+            continue
+        need = [ahead(n - d - 1) for d in range(n)]  # by prefix length d
+        stack: list[tuple[int, str]] = [(start, "")]
+        while stack:
+            subset, prefix = stack.pop()
+            d = len(prefix)
             steps = memo.get(subset)
             if steps is None:
                 steps = memo[subset] = tuple(nxt & useful for nxt in _step_all(subset, masks))
-            stack.extend((nxt, prefix + sym) for sym, nxt in zip(symbols, steps) if nxt)
-    out.sort(key=len)  # stable: the walk met each length's words in lex order
-    return out
+            want = need[d]
+            if d + 1 < n:
+                stack.extend((nxt, prefix + sym) for sym, nxt in zip(symbols, steps) if nxt & want)
+            else:  # the children are words: in lex order, as the stack would pop them
+                for sym, nxt in zip(lex, reversed(steps)):
+                    if nxt & want:
+                        yield prefix + sym
+
+
+def _ahead(a: Nfa, max_len: int) -> tuple[list[int], int | None]:
+    """`ahead[r]`, the bitset of the states that accept some word of
+    exactly r symbols, for r = 0, 1, ... up to `max_len`, and where the
+    table loops back to.
+
+    `ahead[0]` is the final states and `ahead[r + 1]` the predecessors
+    of `ahead[r]`.  The table stops at the first value it already holds
+    (an empty one repeats at once): from index `loop` on it then repeats
+    with period `len(table) - loop`.  `loop` is None when the table
+    reached `max_len` first.  So it holds at most min(max_len + 1, the
+    distinct values) entries, however large `max_len` is.
+    """
+    pred = [0] * a.state_count
+    for (src, _), row in a._delta.items():
+        for dst in row:
+            pred[dst] |= 1 << src
+    table = [a._final_bits]
+    seen = {table[0]: 0}
+    while len(table) <= max_len:
+        nxt = 0
+        for q in _bits(table[-1]):
+            nxt |= pred[q]
+        if nxt in seen:
+            return table, seen[nxt]
+        seen[nxt] = len(table)
+        table.append(nxt)
+    return table, None
 
 
 def shortest_word(a: Nfa | _OnDemand) -> Word | None:

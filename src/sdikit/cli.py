@@ -9,14 +9,16 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache, partial
+from typing import Iterable
 
 from . import complexity, decide, equations
 from .automata import (
     InputError,
     Nfa,
     ResourceLimitError,
-    enumerate_language,
+    Word,
     is_finite_language,
+    length_lex_words,
     membership,
 )
 from .constructions import (
@@ -37,7 +39,6 @@ from .textio import (
     parse_word,
     save_automaton,
     serialize_automaton,
-    serialize_words,
 )
 from .trajectories import (
     NAMED_TRAJECTORIES,
@@ -146,9 +147,7 @@ def _cmd_op(args) -> int:
             )
         if args.max_len is None:
             raise _UsageError(f"{variant.value} of two automata needs --max-len")
-        words = bounded_insertion_words(variant, left, right, args.max_len)
-        sys.stdout.write(serialize_words(list(words)))
-        return EXIT_TRUE
+        return _write_words(bounded_insertion_words(variant, left, right, args.max_len))
     return _emit_result(args, result)
 
 
@@ -157,12 +156,20 @@ def _emit_result(args, result: Nfa) -> int:
         save_automaton(args.out, result)
         return EXIT_TRUE
     if args.max_len is not None:
-        sys.stdout.write(serialize_words(enumerate_language(result, args.max_len)))
-        return EXIT_TRUE
+        return _write_words(length_lex_words(result, args.max_len))
     if is_finite_language(result):  # then every word is shorter than the state count
-        sys.stdout.write(serialize_words(enumerate_language(result, result.state_count)))
-        return EXIT_TRUE
+        return _write_words(length_lex_words(result, result.state_count))
     raise _UsageError("result language is infinite; pass --max-len N or --out FILE")
+
+
+def _write_words(words: Iterable[Word]) -> int:
+    """Every CLI word listing: write distinct `words`, given in length-lex
+    order, one line each as they come, the text `serialize_words` gives
+    for them, without holding them."""
+    write = sys.stdout.write
+    for w in words:
+        write(format_word(w) + "\n")
+    return EXIT_TRUE
 
 
 def _cmd_member(args) -> int:
@@ -272,9 +279,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    a = load_automaton(args.automaton)
-    sys.stdout.write(serialize_words(enumerate_language(a, args.max_len)))
-    return EXIT_TRUE
+    return _write_words(length_lex_words(load_automaton(args.automaton), args.max_len))
 
 
 def _cmd_audit(args) -> int:

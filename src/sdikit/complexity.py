@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .automata import Alphabet, InputError, Nfa, Word, enumerate_language, membership
+from .automata import Alphabet, InputError, Nfa, Word, length_lex_words, membership
 from .constructions import insertion_nfa
 from .oracle import SdiVariant
 
@@ -65,17 +65,13 @@ def fooling_set_check(a: Nfa, fooling: FoolingSet) -> FoolingCheck:
 
 
 def _candidate_pairs(a: Nfa, max_len: int, limit: int) -> list[tuple[Word, Word]]:
-    """Splittings x·w of accepted words with both parts of length <= max_len."""
+    """Splittings x·w of accepted words with both parts of length <= max_len,
+    the first `limit` of them: the words are walked lazily in length-lex
+    order (`length_lex_words`) and the walk stops once `limit` are found."""
     pairs: list[tuple[Word, Word]] = []
-    seen: set[tuple[Word, Word]] = set()
-    for word in enumerate_language(a, 2 * max_len):
-        for cut in range(len(word) + 1):
-            x, w = word[:cut], word[cut:]
-            if len(x) > max_len or len(w) > max_len:
-                continue
-            if (x, w) not in seen:
-                seen.add((x, w))
-                pairs.append((x, w))
+    for word in length_lex_words(a, 2 * max_len):  # distinct words: distinct splittings
+        cuts = range(max(0, len(word) - max_len), min(len(word), max_len) + 1)
+        pairs.extend((word[:cut], word[cut:]) for cut in cuts)
         if len(pairs) >= limit:
             break
     return pairs[:limit]

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Iterator
 
 from .automata import Alphabet, InputError, Nfa, Word, _advance, _bits, _explore, _mask, _require_same_alphabet
-from .automata import enumerate_language, trim, union_all
+from .automata import length_lex_words, trim, union_all
 from .oracle import SdiVariant, unbordered
 
 
@@ -404,16 +404,18 @@ def min_sdi_membership(w: Word, a: Nfa, b: Nfa) -> bool:
 
 
 def bounded_insertion_words(variant: SdiVariant, a: Nfa, b: Nfa, max_len: int) -> Iterator[Word]:
-    """The words of L(a) op L(b) of length <= max_len, in length-lex order.
+    """The words of L(a) op L(b) of length <= max_len, lazily, in length-lex order.
 
     Maximal and minimal insertion of two regular languages need not be
     regular, so for them this walks the general construction and keeps
     the words the polynomial decider accepts.  That is exact: every
     max/min output is a general output whose site is maximal/minimal.
+    The walk is `length_lex_words`, so a caller that stops at a word
+    enumerates nothing past it.
     """
     if variant in (SdiVariant.GENERAL, SdiVariant.ALPHABETIC):
-        yield from enumerate_language(insertion_nfa(variant, a, b), max_len)
+        yield from length_lex_words(insertion_nfa(variant, a, b), max_len)
         return
-    for w in enumerate_language(sdi_nfa_direct(a, b), max_len):
+    for w in length_lex_words(sdi_nfa_direct(a, b), max_len):
         if _insertion_membership(variant, w, a, b):
             yield w

@@ -121,13 +121,14 @@ def closure_counterexample_search(
     """Bounded probe: the length-lex least word of (L(a) ⊕ L(a)) − L(a)
     of length ≤ max_len, or None.
 
-    Lists every word of the general (or alphabetic) construction up to
-    the bound before testing the first, walks them in length-lex order
-    and keeps the words outside L(a); for max/min it then keeps only
-    those the polynomial membership decider accepts, so words that stay
-    in L(a) never pay for the decider.  Exact, since every max/min
-    output is a general output.  Absence of a counterexample at the
-    bound proves nothing about closure.
+    Walks the words of the general (or alphabetic) construction lazily
+    in length-lex order (`bounded_insertion_words`) and keeps the words
+    outside L(a); for max/min it then keeps only those the polynomial
+    membership decider accepts, so words that stay in L(a) never pay for
+    the decider.  It stops at the first word kept: no word past the
+    witness is enumerated.  Exact, since every max/min output is a
+    general output.  Absence of a counterexample at the bound proves
+    nothing about closure.
     """
     base = variant if variant is SdiVariant.ALPHABETIC else SdiVariant.GENERAL
     escaped = (w for w in bounded_insertion_words(base, a, a, max_len) if not membership(a, w))

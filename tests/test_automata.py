@@ -1,5 +1,6 @@
 import ast
 import random
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from sdikit import (
     is_empty,
     is_finite_language,
     is_subset,
+    length_lex_words,
     membership,
     named_trajectory,
     product_intersection,
@@ -409,6 +411,19 @@ def test_enumeration_steps_each_subset_once(monkeypatch):
     assert len(words) == 2**10 * (1 + 2 + 4 + 8)  # lengths 11 to 14
     # 2^11 subsets; stepping every prefix would take 2^14 - 1 calls
     assert len(calls) == len(set(calls)) <= 2**11
+
+
+def test_enumeration_bound_costs_nothing_past_a_finite_language():
+    # the `ahead` table stops once it repeats, so a huge bound walks no empty length
+    assert enumerate_language(Nfa.from_words(["ab"], AB), 10**9) == ["ab"]
+    # an unreachable loop accepts words of every length, yet no length past 2 has a word
+    looped = Nfa(AB, 4, 0, frozenset({2}), frozenset({(0, "a", 1), (1, "b", 2), (3, "a", 3), (3, "b", 2)}))
+    assert enumerate_language(looped, 10**9) == ["ab"]
+    table, loop = automata._ahead(looped, 10**9)
+    assert len(table) == 4 and loop == 3
+    # past the table, (aa)* reads it with period 2; the walk stops when the caller does
+    even = Nfa(AB, 2, 0, frozenset({0}), frozenset({(0, "a", 1), (1, "a", 0)}))
+    assert list(islice(length_lex_words(even, 10**9), 4)) == ["", "aa", "aaaa", "aaaaaa"]
 
 
 def test_shortest_word_steps_each_state_once(monkeypatch):

@@ -6,9 +6,11 @@ import pytest
 from sdikit import (
     Nfa,
     SdiVariant,
+    asdi_nfa_direct,
     bounded_language_op,
     enumerate_language,
     equivalent,
+    max_sdi_membership,
     oracle,
     sdi_nfa_direct,
 )
@@ -246,6 +248,36 @@ def test_solve_round_trip(files, capsys):
 def test_enum(files, capsys):
     assert main(["enum", files["pair.nfa"], "--max-len", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == ["b", "ab"]
+
+
+def test_word_listings_write_the_serialized_words(tmp_path, capsys):
+    # every word listing streams the text `serialize_words` gives for the listed words
+    rng = random.Random(2020)
+    paths = [str(tmp_path / name) for name in ("a.nfa", "b.nfa")]
+    for i in range(8):
+        a, b = (random_nfa(rng, rng.randint(1, 4), AB, 0.4) for _ in range(2))
+        if i % 2 == 0:  # accepts the empty word: listed as "-"
+            a = Nfa(AB, a.state_count, a.initial, a.finals | {a.initial}, a.transitions)
+        save_automaton(paths[0], a)
+        save_automaton(paths[1], b)
+        n = rng.randint(0, 6)
+        general = sdi_nfa_direct(a, b)
+        listings = [
+            (["enum", paths[0]], enumerate_language(a, n)),
+            (["op", "--variant", "sdi", *paths], enumerate_language(general, n)),
+            (["op", "--variant", "maxsdi", *paths],
+             [w for w in enumerate_language(general, n) if max_sdi_membership(w, a, b)]),
+        ]
+        for argv, words in listings:
+            assert main([*argv, "--max-len", str(n)]) == 0
+            assert capsys.readouterr().out == serialize_words(words)
+        if i % 2 == 0:
+            assert "-" in serialize_words(enumerate_language(a, n)).splitlines()
+    # a finite result without --max-len lists every word
+    finite = Nfa.from_words(["", "b", "ab", "ba"], AB)
+    save_automaton(paths[0], finite)
+    assert main(["op", "--variant", "asdi", paths[0], paths[0]]) == 0
+    assert capsys.readouterr().out == serialize_words(enumerate_language(asdi_nfa_direct(finite, finite), 12))
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,7 @@ from sdikit import (
 )
 from sdikit.complexity import random_nfa
 
-from conftest import AB, ABC, all_words, blowup, lenlex, wide_random_nfa
+from conftest import AB, ABC, all_words, ba_blocks, blowup, lenlex, wide_random_nfa
 
 
 def test_sdi_free_examples():
@@ -193,6 +193,25 @@ def test_counterexample_search():
     w = closure_counterexample_search(SdiVariant.GENERAL, host, 12)
     assert w is not None
     assert w in sdi_strings("ababab", "ababab") and w != "ababab"
+
+
+@pytest.mark.parametrize("variant", [SdiVariant.GENERAL, SdiVariant.MAXIMAL, SdiVariant.MINIMAL])
+def test_counterexample_search_pulls_no_word_past_its_witness(monkeypatch, variant):
+    pulled = []
+    walk = constructions.length_lex_words
+
+    def counting_walk(a, max_len):
+        for w in walk(a, max_len):
+            pulled.append(w)
+            yield w
+
+    monkeypatch.setattr(constructions, "length_lex_words", counting_walk)
+    host = ba_blocks(2, "$")
+    witness = closure_counterexample_search(variant, host, 12)
+    assert witness == "bababa$"
+    general = walk(sdi_nfa_direct(host, host), 12)
+    assert pulled == [next(general) for _ in pulled] and pulled[-1] == witness
+    assert len(pulled) == 7 and len(list(general)) == 85  # the words the search never pulled
 
 
 def _small_nfa(rng, alphabet):

@@ -3,6 +3,7 @@ profile from conftest.py)."""
 
 from collections import defaultdict
 from functools import cache
+from itertools import islice
 
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,7 @@ from sdikit import (
     is_free,
     is_independent,
     is_subset,
+    length_lex_words,
     max_sdi_membership,
     max_sdi_single_nfa,
     membership,
@@ -122,6 +124,16 @@ _SYNC_STAR, _KEEP_STAR = (
     )
     for label in "si"
 )
+
+
+@given(small_nfas(), st.integers(0, 70))
+def test_the_lazy_walk_is_the_length_lex_list(a, k):
+    words = enumerate_language(a, 6)
+    assert list(length_lex_words(a, 6)) == words
+    keys = [(len(w), w) for w in words]
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    assert words == [w for w in WORDS_6 if membership(a, w)]  # WORDS_6 is in length-lex order
+    assert list(islice(length_lex_words(a, 6), k)) == words[:k]
 
 
 @given(small_nfas(), small_nfas(), st.data())

@@ -22,7 +22,8 @@ search) step int bitsets over `Nfa._masks`.
 `determinize` and `complement` are one subset construction,
 `_subset_dfa`: `complement` takes any NFA, keeps only the reachable
 subsets, the empty one as the sink of the total DFA, and counts the
-sink against the state budget.
+sink against the state budget.  `_complement_on_demand` runs the same
+subset rule (`_subset_parts`) as an `_OnDemand`, for the equation solver.
 `shortest_word` is the one emptiness search and steps each state once.
 Freeness, independence, solution verification and the SDI closure check
 step the SDI construction (and its product with an automaton,
@@ -306,7 +307,7 @@ def _explore(
     for key, row in rows.items():
         if row.__class__ is list:
             rows[key] = tuple(sorted(set(row)))
-    finals = set(run._finals)
+    finals = run.finals
     if epsilon:
         finals, rows = _eliminate_epsilon(alphabet, finals, rows)
     return cls._from_rows(alphabet, len(keys), 0, finals, rows)
@@ -336,12 +337,15 @@ class _OnDemand:
     `_number` is the one id rule: a key gets the next id, and its
     finality is decided, the first time a move reaches it, `start` being
     0.  Here a key's moves are computed the first time a subset holding
-    it is stepped, so ids follow the walk, not `_explore`'s worklist.
-    Offers what `_subset_witness` and `shortest_word` read of an `Nfa`:
-    `alphabet`, `initial`, `state_count` (the keys numbered so far),
-    `_step` and `_final_bits` (which grows as `_step` numbers keys).
-    Moves carry symbols, never None.  Raises ResourceLimitError when
-    more keys than the budget are numbered.
+    it is stepped, or its successors are read, so ids follow the walk,
+    not `_explore`'s worklist.  Offers what `_subset_witness` and
+    `shortest_word` read of an `Nfa`: `alphabet`, `initial`,
+    `state_count` (the keys numbered so far), `_step` and `_final_bits`
+    (which grows as `_step` numbers keys); and what a construction reads
+    of an operand (`constructions._sdi_parts`): `successors` and
+    `finals` (the final states numbered so far).  Moves carry symbols,
+    never None.  Raises ResourceLimitError when more keys than the
+    budget are numbered.
     """
 
     initial = 0
@@ -357,12 +361,12 @@ class _OnDemand:
         self._expand, self._is_final = expand, is_final
         self._ids: dict[Hashable, int] = {}
         self._keys: list[Hashable] = []
-        self._finals: list[int] = []
+        self.finals: set[int] = set()
         # rows by state id: `_step_all` reads only stepped states, a missing entry as 0
         self._masks: dict[str, defaultdict[int, int]] = {sym: defaultdict(int) for sym in alphabet}
         self._expanded = 0
         self._number(start)
-        self._final_bits = _mask(self._finals)
+        self._final_bits = _mask(self.finals)
 
     @property
     def state_count(self) -> int:
@@ -376,23 +380,32 @@ class _OnDemand:
         self._ids[key] = sid
         self._keys.append(key)
         if self._is_final(key):
-            self._finals.append(sid)
+            self.finals.add(sid)
         return sid
 
     def _step(self, subset: int) -> list[int]:
         """The successor bitset of `subset` on every symbol, in alphabet order."""
         fresh = subset & ~self._expanded
         if fresh:
-            ids, masks, known = self._ids, self._masks, len(self._finals)
-            for q in _bits(fresh):
-                for sym, nxt in self._expand(self._keys[q]):
-                    nid = ids.get(nxt)
-                    if nid is None:
-                        nid = self._number(nxt)
-                    masks[sym][q] |= 1 << nid
-            self._expanded |= fresh
-            self._final_bits |= _mask(self._finals[known:])
+            self._expand_states(fresh)
         return _step_all(subset, self._masks)
+
+    def successors(self, state: int, sym: str) -> tuple[int, ...]:
+        if not self._expanded >> state & 1:
+            self._expand_states(1 << state)
+        return tuple(_bits(self._masks[sym][state]))
+
+    def _expand_states(self, fresh: int) -> None:
+        """Compute the moves of the states in `fresh`, none expanded yet."""
+        ids, masks, known, finals = self._ids, self._masks, len(self._keys), self.finals
+        for q in _bits(fresh):
+            for sym, nxt in self._expand(self._keys[q]):
+                nid = ids.get(nxt)
+                if nid is None:
+                    nid = self._number(nxt)
+                masks[sym][q] |= 1 << nid
+        self._expanded |= fresh
+        self._final_bits |= _mask(q for q in range(known, len(self._keys)) if q in finals)
 
 
 def _reach(seeds: Iterable[Hashable], adjacency: Mapping[Hashable, Iterable[Hashable]]) -> set:
@@ -417,7 +430,10 @@ def _bits(subset: int) -> Iterator[int]:
 
 def _mask(states: Iterable[int]) -> int:
     """The bitset of a set of states."""
-    return sum(1 << q for q in states)
+    bits = 0
+    for q in states:  # faster than `sum` of a generator
+        bits |= 1 << q
+    return bits
 
 
 def _step_all(subset: int, masks: Mapping[str, list[int]]) -> list[int]:
@@ -450,23 +466,38 @@ def membership(a: Nfa, word: Word) -> bool:
     return bool(states & a._final_bits)
 
 
-def _subset_dfa(a: Nfa, flip: bool) -> Dfa:
-    """Subset construction over the reachable subsets of `a`.  With
-    `flip`, the empty subset is kept as the sink, so the DFA is total,
-    and finality is inverted: the complement of L(a).
-
-    Raises ResourceLimitError when more subsets than the budget appear.
-    """
-    symbols, masks, finals = a.alphabet.symbols, a._masks, a._final_bits
+def _subset_parts(a: Nfa, flip: bool, useful: set[int] | None = None) -> tuple:
+    """The one subset rule: the (start, expand, is_final) of the subset
+    construction of `a`, for `_explore` or `_OnDemand`.  With `flip`, the
+    empty subset is kept as the sink, so the DFA is total, and finality
+    is inverted: the complement of L(a).  With `useful`, a set of states
+    of `a`, every subset is masked to it: the other states are dropped
+    from the start subset and from every row, and their rows, which no
+    subset then reads, are left empty."""
+    symbols, finals = a.alphabet.symbols, a._final_bits
+    if useful is None:
+        masks, start = a._masks, 1 << a.initial
+    else:  # `a._masks`, masked, without caching the unmasked rows on `a`
+        masks = {sym: [0] * a.state_count for sym in symbols}
+        for (src, sym), row in a._delta.items():
+            if src in useful:
+                masks[sym][src] = _mask(q for q in row if q in useful)
+        start = 1 << a.initial if a.initial in useful else 0
 
     def expand(subset: int) -> Iterator[tuple[str, int]]:
         for sym, nxt in zip(symbols, _step_all(subset, masks)):
             if nxt or flip:
                 yield sym, nxt
 
-    return _explore(
-        a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip, Dfa
-    )
+    return start, expand, lambda subset: bool(subset & finals) != flip
+
+
+def _subset_dfa(a: Nfa, flip: bool) -> Dfa:
+    """Subset construction over the reachable subsets of `a` (`_subset_parts`).
+
+    Raises ResourceLimitError when more subsets than the budget appear.
+    """
+    return _explore(a.alphabet, *_subset_parts(a, flip), Dfa)
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -487,6 +518,20 @@ def complement(a: Nfa) -> Dfa:
     sink counted, appear.
     """
     return _subset_dfa(a, True)
+
+
+def _complement_on_demand(a: Nfa) -> _OnDemand:
+    """`complement(trim(a))`, built only as far as a walk reads it: its
+    states are the subsets of `a` masked to the co-reachable states,
+    which are the subsets of `trim(a)` under another numbering, numbered
+    as they are reached.
+
+    Without the mask, subsets that differ only in dead states would be
+    distinct states, and the DFA could be exponentially larger.  When
+    `a`'s initial state is dead, the start subset is the sink itself, one
+    state where `complement(trim(a))` has two.
+    """
+    return _OnDemand(a.alphabet, *_subset_parts(a, True, _coreachable(a)))
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:

@@ -8,7 +8,8 @@ symbol, s keeps a matched symbol.  Both operations preserve regularity
 for regular trajectory sets: each is one product walk (`_product`) over
 (state of the left operand, state of the right, trajectory state), and
 `shuffle_nfa` and `deletion_nfa` differ only in the step rule they hand
-it.
+it.  Both are the trimmed `_explore` run of that walk; the equation
+solver reuses the untrimmed deletion product (`_deletion_parts`).
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
             (True, [(sym, q2, r2) for q2 in targets for r2 in sync]),
         ]
 
-    return _product(a, b, t, TrajectoryKind.SHUFFLE, steps)
+    return trim(_explore(*_product(a, b, t, TrajectoryKind.SHUFFLE, steps)))
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -138,6 +139,11 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     the result; each advances t.  Built by `_product`, with one group
     (a advances) of the i-, s- and d-steps.
     """
+    return trim(_explore(*_deletion_parts(a, b, t)))
+
+
+def _deletion_parts(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> tuple:
+    """The `_explore` arguments of the deletion product (`deletion_nfa`), untrimmed."""
 
     def steps(q: int, r: int, sym: str):
         keep, drop, sync = (t.automaton.successors(r, label) for label in "ids")
@@ -150,9 +156,10 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
 
 def _product(
     a: Nfa, b: Nfa, t: TrajectoryLanguage, kind: TrajectoryKind, steps: Callable[[int, int, str], list]
-) -> Nfa:
-    """The trimmed product of a, b and t's automaton over reachable keys
-    (p, q, r), a state of each, with the moves of b and t from
+) -> tuple:
+    """The `_explore` arguments (alphabet, start, expand, is_final) of the
+    product of a, b and t's automaton over reachable keys (p, q, r), a
+    state of each, with the moves of b and t from
     `steps(q, r, symbol)`: a list of groups (advances, moves), each move
     (label, q2, r2) with label None for an epsilon move, which `_explore`
     folds away.  For each symbol a key steps through the groups in order,
@@ -175,7 +182,7 @@ def _product(
                     for label, q2, r2 in moves:
                         yield label, (p2, q2, r2)
 
-    return trim(_explore(a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)))
+    return a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
 
 
 def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], list]) -> dict:

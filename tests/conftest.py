@@ -1,9 +1,10 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage
+from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage, equations, solve
 from sdikit.trajectories import SHUFFLE_ALPHABET
 
 # Derandomized: every run draws the same examples, so tier-1 stays
@@ -47,6 +48,21 @@ def blowup(k):
     trans = {(0, "a", 0), (0, "b", 0), (0, "a", 1)}
     trans |= {(q, sym, q + 1) for q in range(1, k + 1) for sym in "ab"}
     return Nfa(AB, k + 2, 0, frozenset({k + 1}), frozenset(trans))
+
+
+def solve_keeping_the_search_candidate(spec):
+    """`solve(spec)`, and the on-demand candidate its search read."""
+    made = []
+
+    def keep(product):
+        made.append(real(product))
+        return made[-1]
+
+    real = equations._complement_on_demand
+    with mock.patch.object(equations, "_complement_on_demand", keep):
+        solution = solve(spec)
+    (searched,) = made
+    return solution, searched
 
 
 def plain_shuffle():

@@ -4,20 +4,24 @@ import random
 import pytest
 
 from sdikit import (
+    EquationSpec,
     Nfa,
     SdiVariant,
+    UnknownSide,
     asdi_nfa_direct,
     bounded_language_op,
+    candidate,
     enumerate_language,
     equivalent,
     max_sdi_membership,
     oracle,
     sdi_nfa_direct,
+    union_all,
 )
 from sdikit import automata
 from sdikit.cli import main
 from sdikit.complexity import random_nfa
-from sdikit.textio import load_automaton, save_automaton, serialize_words
+from sdikit.textio import load_automaton, save_automaton, serialize_automaton, serialize_words
 
 from conftest import AB, ABC, ba_blocks
 
@@ -489,3 +493,23 @@ def test_solve_writes_the_candidate_when_verification_hits_the_budget(files, cap
     assert captured.err.startswith("resource cap hit: verification hit the state cap: "), captured.err
     with open(full, "rb") as want, open(kept, "rb") as got:
         assert got.read() == want.read()
+
+
+def test_solve_writes_the_candidate_when_an_unsolvable_search_hits_the_budget(files, capsys, monkeypatch):
+    # ab sdi X = (ab sdi bb) + {bab}: unsolvable (bab); the candidate has 8 states, the search needs 16
+    known = Nfa.from_word("ab", AB)
+    result = union_all([sdi_nfa_direct(known, Nfa.from_word("bb", AB)), Nfa.from_word("bab", AB)], AB)
+    bab, kept = files["tmp"] + "/bab.nfa", files["tmp"] + "/kept.nfa"
+    save_automaton(bab, result)
+    argv = ["solve", "--side", "right", "--variant", "sdi", files["lab.nfa"], bab, "--out", kept]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "unsolvable\n"
+    assert not os.path.exists(kept)
+    want = serialize_automaton(candidate(EquationSpec(UnknownSide.RIGHT, SdiVariant.GENERAL, known, result)))
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 12)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap hit: verification hit the state cap: "), captured.err
+    with open(kept, encoding="utf-8") as got:
+        assert got.read() == want

@@ -24,8 +24,9 @@ from sdikit import (
 )
 from sdikit.complexity import random_nfa
 from sdikit.equations import _apply
+from sdikit.textio import serialize_automaton
 
-from conftest import AB, ABC, blowup
+from conftest import AB, ABC, blowup, solve_keeping_the_search_candidate
 
 
 def _spec(side, variant, known, result):
@@ -152,3 +153,39 @@ def test_verification_builds_only_what_the_search_reaches():
     assert built == 8782
     assert lhs.state_count < built / 2
     assert lhs._expanded.bit_count() < built / 5
+
+
+def test_solve_searches_only_part_of_an_unsolvable_candidate():
+    known = Nfa.from_words(["ab", "ba", "abb"], AB)
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, blowup(9))
+    solution, searched = solve_keeping_the_search_candidate(spec)
+    assert not solution.solvable and solution.witness == "a" * 10
+    assert searched.state_count < 1404 / 2
+    # the whole candidate is built only when read, and is the one `candidate` builds
+    assert "candidate" not in vars(solution)
+    assert solution.candidate.state_count == 1404
+    assert serialize_automaton(solution.candidate) == serialize_automaton(candidate(spec))
+
+
+def test_a_solvable_solution_carries_its_candidate():
+    known = Nfa.from_word("ab", AB)
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, sdi_nfa_direct(known, known))
+    solution = solve(spec)
+    assert solution.solvable and solution.witness is None
+    assert "candidate" in vars(solution)  # built by the solve, under the budget
+    assert serialize_automaton(solution.candidate) == serialize_automaton(candidate(spec))
+
+
+def test_an_unsolvable_answer_needs_only_the_candidate_states_its_witness_reaches(monkeypatch):
+    # the deletion product fits in 60 states and the search needs 6; the whole candidate needs 78
+    rng = random.Random(74)
+    known, result = random_nfa(rng, 2, AB), random_nfa(rng, 4, AB)
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, result)
+    assert candidate(spec).state_count == 78
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 60)
+    with pytest.raises(ResourceLimitError, match="^exploration exceeded 60 states$"):
+        candidate(spec)
+    solution = solve(spec)
+    assert solution.witness == "aa"
+    with pytest.raises(ResourceLimitError, match="^exploration exceeded 60 states$"):
+        solution.candidate

@@ -18,6 +18,7 @@ from sdikit import (
     asdi_nfa_direct,
     asdi_strings,
     bounded_language_op,
+    candidate,
     canonicalize,
     closed_under_finite_maxmin,
     complement,
@@ -25,6 +26,7 @@ from sdikit import (
     deletion_nfa,
     determinize,
     enumerate_language,
+    equivalence_witness,
     equivalent,
     finite_into_regular,
     is_free,
@@ -47,11 +49,12 @@ from sdikit import (
     solve,
     two_var_solvable,
     union_all,
+    verify_solution,
 )
 from sdikit.textio import parse_automaton, serialize_automaton
 from sdikit.trajectories import DELETION_ALPHABET
 
-from conftest import AB, all_words, plain_shuffle, small_nfas
+from conftest import AB, all_words, plain_shuffle, small_nfas, solve_keeping_the_search_candidate
 
 MAXIMAL, MINIMAL = SdiVariant.MAXIMAL, SdiVariant.MINIMAL
 DECIDERS = ((MAXIMAL, max_sdi_membership), (MINIMAL, min_sdi_membership))
@@ -225,8 +228,25 @@ def test_an_equation_built_from_a_solution_is_solvable(s0, known):
     for variant, (build, _, _) in INSERTIONS.items():
         for side in UnknownSide:
             result = build(s0, known) if side is UnknownSide.LEFT else build(known, s0)
-            solution = solve(EquationSpec(side, variant, known, result))
+            spec = EquationSpec(side, variant, known, result)
+            solution = solve(spec)
             assert solution.solvable and is_subset(s0, solution.candidate)
+            assert serialize_automaton(solution.candidate) == serialize_automaton(candidate(spec))
+
+
+@given(small_nfas(3), small_nfas(3))
+def test_solve_decides_on_an_on_demand_candidate(known, result):
+    for variant, (build, _, _) in INSERTIONS.items():
+        for side in UnknownSide:
+            spec = EquationSpec(side, variant, known, result)
+            solution, searched = solve_keeping_the_search_candidate(spec)
+            cand = candidate(spec)
+            assert solution.solvable == verify_solution(cand, spec)
+            lhs = build(cand, known) if side is UnknownSide.LEFT else build(known, cand)
+            assert solution.witness == equivalence_witness(lhs, result)
+            assert serialize_automaton(solution.candidate) == serialize_automaton(cand)
+            # masked to the co-reachable states, the search's subsets are those of the candidate
+            assert searched.state_count <= cand.state_count
 
 
 @given(

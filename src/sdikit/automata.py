@@ -281,6 +281,15 @@ def _explore(
     there is no final state; a state entered only by epsilon moves
     keeps its id but is unreachable afterwards.  Raises
     ResourceLimitError when more keys than the budget are reached.
+
+    A row starts as a 1-tuple and becomes a list at its second distinct
+    target; lists are deduplicated and sorted at the end.  While one
+    key's moves are read, the last row that is a list stays open: a move
+    on its symbol is appended to it without building and looking up the
+    (state, symbol) key, so runs of moves on one symbol (the SDI and
+    shuffle walks) pay for the key once, and walks whose rows hold one
+    target (the subset construction, the deletion product) take the
+    keyed path as before.
     """
     run = _OnDemand((), start, expand, is_final)  # no alphabet: no mask rows
     ids, keys, number = run._ids, run._keys, run._number
@@ -289,11 +298,15 @@ def _explore(
     epsilon = False
     while stack:
         sid = stack.pop()
+        open_sym = open_row = None
         for sym, nxt in expand(keys[sid]):
             nid = ids.get(nxt)
             if nid is None:
                 nid = number(nxt)
                 stack.append(nid)
+            if open_row is not None and sym == open_sym:
+                open_row.append(nid)
+                continue
             key = (sid, sym)
             row = rows.get(key)
             if row is None:  # most rows of a subset DFA or a deletion product end here
@@ -302,8 +315,10 @@ def _explore(
                     epsilon = True
             elif row.__class__ is list:
                 row.append(nid)
+                open_sym, open_row = sym, row
             elif row[0] != nid:
-                rows[key] = [row[0], nid]
+                rows[key] = open_row = [row[0], nid]
+                open_sym = sym
     for key, row in rows.items():
         if row.__class__ is list:
             rows[key] = tuple(sorted(set(row)))

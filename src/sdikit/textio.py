@@ -102,17 +102,19 @@ def serialize_automaton(a: Nfa) -> str:
     and target.  Deterministic.  Each (source, symbol) row is written as
     the renumbering shared with `canonicalize` reads it off the per-state
     successor index, so no renumbered automaton is built and nothing is
-    sorted but the targets of one row."""
+    sorted but the targets of one row.  The text of each new id is made
+    once, not once per transition that enters it."""
     count, finals, rows = _canonical_rows(a)
+    ids = list(map(str, range(count)))
     lines = [
         "alphabet: " + " ".join(a.alphabet),
         f"states: {count}",
         "initial: 0",
-        "final: " + " ".join(map(str, finals)),
+        "final: " + " ".join([ids[q] for q in finals]),
     ]
     for (src, sym), targets in rows.items():
-        prefix = f"{src} {sym} -> "
-        lines.append(prefix + ("\n" + prefix).join(map(str, targets)))
+        prefix = f"{ids[src]} {sym} -> "
+        lines.append(prefix + ("\n" + prefix).join([ids[d] for d in targets]))
     return "\n".join(lines).rstrip() + "\n"
 
 

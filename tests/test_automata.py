@@ -658,6 +658,36 @@ def test_rows_store_matches_the_triples(monkeypatch):
         assert (delta, masks) == _store_from_triples(c)
 
 
+@pytest.mark.parametrize("epsilon", [False, True])
+def test_open_row_falls_back_to_the_keyed_rows(monkeypatch, epsilon):
+    # key 0's moves: a row turns into a list and stays open; b breaks the
+    # run; a resumes it; duplicates in a list row and in a 1-tuple row;
+    # b's row becomes a list (now open) while a's is reached through its key
+    zero = [("a", 1), ("a", 2), ("b", 1), ("a", 3), ("a", 1), ("b", 1), (None, 4), ("a", 4),
+            ("b", 2), ("a", 2), ("b", 3)]
+    moves = {0: zero if epsilon else [m for m in zero if m[0] is not None],
+             1: [("a", 6)], 4: [("b", 5), ("a", 0)]}
+    finals = {4, 6}
+    numbered = []
+    number = automata._OnDemand._number
+
+    def spy(run, key):
+        numbered.append(key)
+        return number(run, key)
+
+    monkeypatch.setattr(automata._OnDemand, "_number", spy)
+    built = automata._explore(AB, 0, lambda key: iter(moves.get(key, ())), finals.__contains__)
+    # first reached, LIFO: key 4 is expanded before key 1, so 5 comes before 6
+    assert numbered == [0, 1, 2, 3, 4, 5, 6]
+    triples = {(src, sym, dst) for src, out in moves.items() for sym, dst in out if sym is not None}
+    if epsilon:  # state 0 takes the moves and finality of state 4
+        triples |= {(0, sym, dst) for src, sym, dst in triples if src == 4}
+        finals = finals | {0}
+    reference = Nfa(AB, 7, 0, frozenset(finals), frozenset(triples))
+    assert built == reference
+    assert (built._delta, built._masks) == _store_from_triples(reference)
+
+
 def _source_trees():
     modules = sorted(Path(automata.__file__).parent.glob("*.py"))
     assert len(modules) > 5

@@ -51,6 +51,8 @@ from sdikit import (
     union_all,
     verify_solution,
 )
+from sdikit.automata import _OnDemand, _bits, _canonical_rows, _explore
+from sdikit.constructions import _asdi_parts, _sdi_parts
 from sdikit.textio import parse_automaton, serialize_automaton
 from sdikit.trajectories import DELETION_ALPHABET
 
@@ -83,6 +85,22 @@ def test_direct_construction_equals_the_trajectory_product_and_the_oracle(a, b):
         assert product.state_count <= m * n * t.automaton.state_count
         assert equivalent(direct, product)
         assert set(enumerate_language(direct, 6)) == scan_language(variant, WORDS_6, hosts, inserted)
+
+
+@given(small_nfas(), small_nfas(), st.booleans())
+def test_the_on_demand_and_built_constructions_agree(a, b, require_insertion):
+    # ids differ (the walk, not the worklist, orders them), so compare
+    # sizes and languages, not canonical bytes
+    for parts in (_sdi_parts, _asdi_parts):
+        built = _explore(AB, *parts(a, b, require_insertion))
+        grown = _OnDemand(AB, *parts(a, b, require_insertion))
+        while unexpanded := ((1 << grown.state_count) - 1) & ~grown._expanded:
+            grown._step(unexpanded)
+        triples = {(q, sym, d) for sym, row in grown._masks.items() for q, bits in row.items() for d in _bits(bits)}
+        whole = Nfa(AB, grown.state_count, grown.initial, frozenset(grown.finals), frozenset(triples))
+        assert whole.state_count == built.state_count
+        assert len(whole.transitions) == len(built.transitions)
+        assert equivalent(whole, built)
 
 
 @given(small_nfas(), small_nfas(), st.data())
@@ -162,6 +180,37 @@ def test_algebra_and_text_preserve_the_language(a, b, data):
     )
     assert canonicalize(canonicalize(a)) == canonicalize(a)
     assert serialize_automaton(renumbered) == serialize_automaton(d)
+
+
+def _naive_text(a):
+    """Canonical text with one `str` call per id written."""
+    count, finals, rows = _canonical_rows(a)
+    lines = [
+        "alphabet: " + " ".join(a.alphabet),
+        f"states: {count}",
+        "initial: 0",
+        "final: " + " ".join(map(str, finals)),
+    ]
+    for (src, sym), targets in rows.items():
+        prefix = f"{src} {sym} -> "
+        lines.append(prefix + ("\n" + prefix).join(map(str, targets)))
+    return "\n".join(lines).rstrip() + "\n"
+
+
+@given(small_nfas(), small_nfas(), st.text("ab", min_size=10, max_size=16))
+def test_the_serializer_writes_what_a_naive_formatter_writes(a, b, word):
+    long = union_all([a, Nfa.from_word(word, AB)], AB)
+    assert _canonical_rows(long)[0] > 10  # two-digit ids
+    cases = [
+        a,
+        long,
+        sdi_nfa_direct(a, b),
+        Nfa(AB, long.state_count, long.initial, frozenset(), long.transitions),  # no finals
+        Nfa(AB, a.state_count, a.initial, a.finals, frozenset()),  # no transitions
+        Nfa(AB, a.state_count, a.initial, frozenset(), frozenset()),  # "final:" is the last line
+    ]
+    for c in cases:
+        assert serialize_automaton(c) == _naive_text(c)
 
 
 def _nonempty(variant, hosts, inserted):

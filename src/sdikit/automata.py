@@ -9,21 +9,21 @@ when first reached.  `_explore` runs it eagerly from a LIFO worklist
 and returns the automaton, its epsilon moves folded away; `_OnDemand`
 runs it as far as a subset walk steps it.  It and the inclusion and
 equivalence search read the one state budget, `DEFAULT_STATE_CAP`, when
-they run, and `union_all` before it builds; no function takes a budget
-of its own.  Transitions are stored once, as the successor rows
-`Nfa._delta` {(state, symbol): ascending targets}: constructions hand
-theirs to `Nfa(...)`, which groups any other automaton's triples into
-rows, and every automaton is checked once, over its rows.  No other
-module reads `_delta`, builds from rows or compares operand alphabets
-(`_require_same_alphabet`).
+they run, `union_all` before it builds, and `Nfa._check` for every new
+automaton; no function takes a budget of its own.  Transitions are
+stored once, as the successor rows `Nfa._delta` {(state, symbol):
+ascending targets}: constructions hand theirs to `Nfa(...)`, which
+groups any other automaton's triples into rows, and every automaton is
+checked once, over its rows.  No other module reads `_delta`, builds
+from rows or compares operand alphabets (`_require_same_alphabet`).
 Per-state walks read the rows; subset walks (membership, subset
 construction, enumeration, the shortest word, the inclusion/equivalence
 search) step int bitsets over `Nfa._masks`.
-`determinize` and `complement` are one subset construction,
-`_subset_dfa`: `complement` takes any NFA, keeps only the reachable
-subsets, the empty one as the sink of the total DFA, and counts the
-sink against the state budget.  `_complement_on_demand` runs the same
-subset rule (`_subset_parts`) as an `_OnDemand`, for the equation solver.
+`determinize`, `complement` and the equation candidate run one subset
+rule, `_subset_parts`: `complement` takes any NFA, keeps only the
+reachable subsets, the empty one as the sink of the total DFA, and
+counts the sink against the state budget; the candidate masks the rule
+to the co-reachable states, and is stepped on demand or built whole.
 `shortest_word` is the one emptiness search and steps each state once.
 Freeness, independence, solution verification and the SDI closure check
 step the SDI construction (and its product with an automaton,
@@ -148,10 +148,13 @@ class Nfa:
         return cls(alphabet, count, initial, finals, rows)
 
     def _check(self) -> None:
-        """Every check of a new automaton: its states, then each row of `_delta`."""
-        count, symbols = self.state_count, self.alphabet._symbol_set
+        """Every check of a new automaton: its states, then each row of `_delta`.  Only a
+        parsed file can declare more states than the budget: constructions stay within it."""
+        count, symbols, cap = self.state_count, self.alphabet._symbol_set, DEFAULT_STATE_CAP
         if count < 1:
             raise InputError("automaton needs at least one state")
+        if count > cap:
+            raise ResourceLimitError(f"automaton has {count} states, more than {cap}", {"cap": cap})
         if not 0 <= self.initial < count:
             raise InputError(f"initial state {self.initial} out of range")
         for q in self.finals:
@@ -357,7 +360,7 @@ class _OnDemand:
     `shortest_word` read of an `Nfa`: `alphabet`, `initial`,
     `state_count` (the keys numbered so far), `_step` and `_final_bits`
     (which grows as `_step` numbers keys); and what a construction reads
-    of an operand (`constructions._sdi_parts`): `successors` and
+    of an operand (`constructions._insertion_parts`): `successors` and
     `finals` (the final states numbered so far).  Moves carry symbols,
     never None.  Raises ResourceLimitError when more keys than the
     budget are numbered.
@@ -483,36 +486,27 @@ def membership(a: Nfa, word: Word) -> bool:
 
 def _subset_parts(a: Nfa, flip: bool, useful: set[int] | None = None) -> tuple:
     """The one subset rule: the (start, expand, is_final) of the subset
-    construction of `a`, for `_explore` or `_OnDemand`.  With `flip`, the
-    empty subset is kept as the sink, so the DFA is total, and finality
-    is inverted: the complement of L(a).  With `useful`, a set of states
-    of `a`, every subset is masked to it: the other states are dropped
-    from the start subset and from every row, and their rows, which no
-    subset then reads, are left empty."""
+    construction of `a` from {initial}, for `_explore` or `_OnDemand`.
+    With `flip`, the empty subset is kept as the sink, so the DFA is
+    total, and finality is inverted: the complement of L(a).  With
+    `useful`, every row is masked to that set of states.  Masked to the
+    co-reachable states, the subsets are those of `trim(a)` renumbered,
+    even when the initial state is useless: it steps to the sink."""
     symbols, finals = a.alphabet.symbols, a._final_bits
     if useful is None:
-        masks, start = a._masks, 1 << a.initial
+        masks = a._masks
     else:  # `a._masks`, masked, without caching the unmasked rows on `a`
         masks = {sym: [0] * a.state_count for sym in symbols}
         for (src, sym), row in a._delta.items():
             if src in useful:
                 masks[sym][src] = _mask(q for q in row if q in useful)
-        start = 1 << a.initial if a.initial in useful else 0
 
     def expand(subset: int) -> Iterator[tuple[str, int]]:
         for sym, nxt in zip(symbols, _step_all(subset, masks)):
             if nxt or flip:
                 yield sym, nxt
 
-    return start, expand, lambda subset: bool(subset & finals) != flip
-
-
-def _subset_dfa(a: Nfa, flip: bool) -> Dfa:
-    """Subset construction over the reachable subsets of `a` (`_subset_parts`).
-
-    Raises ResourceLimitError when more subsets than the budget appear.
-    """
-    return _explore(a.alphabet, *_subset_parts(a, flip), Dfa)
+    return 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -521,7 +515,7 @@ def determinize(a: Nfa) -> Dfa:
 
     Raises ResourceLimitError when more subsets than the budget appear.
     """
-    return _subset_dfa(a, False)
+    return _explore(a.alphabet, *_subset_parts(a, False), Dfa)
 
 
 def complement(a: Nfa) -> Dfa:
@@ -532,21 +526,7 @@ def complement(a: Nfa) -> Dfa:
     Raises ResourceLimitError when more subsets than the budget, the
     sink counted, appear.
     """
-    return _subset_dfa(a, True)
-
-
-def _complement_on_demand(a: Nfa) -> _OnDemand:
-    """`complement(trim(a))`, built only as far as a walk reads it: its
-    states are the subsets of `a` masked to the co-reachable states,
-    which are the subsets of `trim(a)` under another numbering, numbered
-    as they are reached.
-
-    Without the mask, subsets that differ only in dead states would be
-    distinct states, and the DFA could be exponentially larger.  When
-    `a`'s initial state is dead, the start subset is the sink itself, one
-    state where `complement(trim(a))` has two.
-    """
-    return _OnDemand(a.alphabet, *_subset_parts(a, True, _coreachable(a)))
+    return _explore(a.alphabet, *_subset_parts(a, True), Dfa)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:

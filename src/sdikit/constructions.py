@@ -138,6 +138,13 @@ def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
     return ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
 
 
+def _insertion_parts(variant: SdiVariant, a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
+    """The one variant-to-construction rule: the alphabetic construction's
+    parts for ALPHABETIC, the general one's for every other variant."""
+    parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
+    return parts(a, b, require_insertion)
+
+
 def insertion_nfa(variant: SdiVariant, a: Nfa, b: Nfa) -> Nfa:
     if variant is SdiVariant.GENERAL:
         return sdi_nfa_direct(a, b)

@@ -28,9 +28,8 @@ from .automata import (
     shortest_word,
 )
 from .constructions import (
-    _asdi_parts,
     _insertion_membership,
-    _sdi_parts,
+    _insertion_parts,
     bounded_insertion_words,
     regular_max_sdi_finite,
 )
@@ -65,8 +64,8 @@ def is_free(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
     """L(a) ⊕ L(b) = ∅ for the variant.  Max/min freeness coincides with
     general freeness: a site admits a maximal (minimal) insertion iff it
     admits any insertion."""
-    parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
-    return _emptiness_report(f"{variant.value}-free", _OnDemand(a.alphabet, *parts(a, b)))
+    search = _OnDemand(a.alphabet, *_insertion_parts(variant, a, b))
+    return _emptiness_report(f"{variant.value}-free", search)
 
 
 def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
@@ -74,8 +73,7 @@ def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
     Max/min independence coincides with general independence: inserting
     into a host with the whole remaining word as matched outfix is always
     maximal, and single-letter outfixes are always minimal."""
-    parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
-    grown = parts(a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
+    grown = _insertion_parts(variant, a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
     search = _OnDemand(a.alphabet, *_meet_parts(*grown, b))
     return _emptiness_report(f"{variant.value}-independent", search)
 
@@ -83,7 +81,7 @@ def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
 def is_closed_under_sdi(a: Nfa) -> DecisionReport:
     """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may
     exceed the state budget, reported as a resource error."""
-    grown = _OnDemand(a.alphabet, *_sdi_parts(a, a))
+    grown = _OnDemand(a.alphabet, *_insertion_parts(SdiVariant.GENERAL, a, a))
     witness = inclusion_witness(grown, a)
     return DecisionReport(
         "closed-sdi", witness is None, witness, {"explored_states": grown.state_count}

@@ -7,10 +7,10 @@ maximal candidate: a superset of every solution.  A solution exists
 exactly when that candidate is itself a solution, which is checked by
 substituting it back: one equivalence search between C ⊕ L and R, whose
 least distinguishing word is the certificate of an unsolvable equation.
-`solve` runs that search on a candidate built on demand, one subset at a
-time, and builds the whole candidate only when the search finds no word,
-so an unsolvable equation costs only the candidate states its witness
-reaches, and a solvable one is never reported without the full search.
+`solve` steps the one candidate (`_candidate_parts`) on demand in that
+search and builds it whole only when the search finds no word, so an
+unsolvable equation costs only the candidate states its witness reaches,
+and a solvable one is never reported without the full search.
 """
 
 from __future__ import annotations
@@ -25,16 +25,16 @@ from .automata import (
     Nfa,
     ResourceLimitError,
     Word,
-    _complement_on_demand,
+    _coreachable,
     _explore,
     _OnDemand,
     _require_same_alphabet,
+    _subset_parts,
     complement,
     equivalence_witness,
     equivalent,
-    trim,
 )
-from .constructions import _asdi_parts, _sdi_parts
+from .constructions import _insertion_parts
 from .oracle import SdiVariant
 from .trajectories import _deletion_parts, named_trajectory
 
@@ -63,10 +63,10 @@ class EquationSolution:
     exactly one of R and C ⊕ L, for the maximal candidate C, or None iff
     the equation is solvable.  `candidate` is C; `solve` builds it for a
     solvable equation, and for an unsolvable one it is built on first
-    read from the deletion product kept in `_product`."""
+    read from its parts, kept in `_parts`."""
 
     witness: Word | None
-    _product: Nfa = field(repr=False)
+    _parts: tuple = field(repr=False)
 
     @property
     def solvable(self) -> bool:
@@ -74,7 +74,7 @@ class EquationSolution:
 
     @cached_property
     def candidate(self) -> Dfa:
-        return complement(trim(self._product))
+        return _explore(*self._parts, Dfa)
 
 
 class EquationResourceError(ResourceLimitError):
@@ -93,26 +93,28 @@ _TRAJECTORY_FOR_CASE = {
 }
 
 
-def _deletion(spec: EquationSpec) -> Nfa:
-    """The untrimmed, ε-folded deletion of the known operand from the
-    complement of the result, along the inverse trajectories for the
-    unknown side: the candidate's complement, before trimming."""
+def _candidate_parts(spec: EquationSpec) -> tuple:
+    """The maximal candidate, defined once as the (alphabet, start,
+    expand, is_final) that `_explore` builds and `_OnDemand` steps: the
+    subset rule, masked to the co-reachable states and flipped, of the
+    deletion product d (built here, untrimmed), which gives
+    `complement(trim(d))` renumbered."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
-    return _explore(*_deletion_parts(complement(spec.result), spec.known, traj))
+    d = _explore(*_deletion_parts(complement(spec.result), spec.known, traj))
+    return (d.alphabet, *_subset_parts(d, True, _coreachable(d)))
 
 
 def candidate(spec: EquationSpec) -> Dfa:
-    """Maximal solution candidate: the complement of the (trimmed)
-    deletion of the known operand from the complement of the result
-    along the inverse trajectories for the unknown side."""
-    return complement(trim(_deletion(spec)))
+    """Maximal solution candidate: the complement of the deletion of the
+    known operand from the complement of the result along the inverse
+    trajectories for the unknown side, built from `_candidate_parts`."""
+    return _explore(*_candidate_parts(spec), Dfa)
 
 
 def _apply(solution: Nfa | _OnDemand, spec: EquationSpec) -> _OnDemand:
     """The left-hand side with `solution` for X, built on demand."""
-    parts = _sdi_parts if spec.variant is SdiVariant.GENERAL else _asdi_parts
     host, inserted = (solution, spec.known) if spec.side is UnknownSide.LEFT else (spec.known, solution)
-    return _OnDemand(spec.known.alphabet, *parts(host, inserted))
+    return _OnDemand(spec.known.alphabet, *_insertion_parts(spec.variant, host, inserted))
 
 
 def verify_solution(solution: Nfa, spec: EquationSpec) -> bool:
@@ -124,22 +126,20 @@ def solve(spec: EquationSpec) -> EquationSolution:
     """Decide the equation, with its witness or its maximal candidate.
 
     The candidate C is a superset of all solutions, and the equation is
-    solvable iff C ⊕ L = R.  That equivalence search runs on C built on
-    demand (`_complement_on_demand` of the deletion product), so it
-    numbers only the states of C it reaches; the whole of C is built,
-    from the same product, only when the search finds no witness.
-    Within the state budget the answer is the one the built candidate
-    gives.  When the search hits the budget, C is built whole: its own
-    budget error propagates as it is, and otherwise an
-    EquationResourceError carries it.
+    solvable iff C ⊕ L = R.  That equivalence search steps C on demand
+    (an `_OnDemand` of `_candidate_parts`), so it numbers only the states
+    of C it reaches; the whole of C is built, from the same parts, only
+    when the search finds no witness.  Within the state budget the answer
+    is the one the built candidate gives.  When the search hits the
+    budget, C is built whole: its own budget error propagates as it is,
+    and otherwise an EquationResourceError carries it.
     """
-    product = _deletion(spec)
+    parts = _candidate_parts(spec)
     try:
-        witness = equivalence_witness(_apply(_complement_on_demand(product), spec), spec.result)
+        witness = equivalence_witness(_apply(_OnDemand(*parts), spec), spec.result)
     except ResourceLimitError as exc:
-        cand = complement(trim(product))  # its own budget error propagates as it is
-        raise EquationResourceError(f"verification hit the state cap: {exc}", cand) from exc
-    solution = EquationSolution(witness, product)
+        raise EquationResourceError(f"verification hit the state cap: {exc}", _explore(*parts, Dfa)) from exc
+    solution = EquationSolution(witness, parts)
     if witness is None:
         solution.candidate  # built in the solve, under the budget
     return solution

@@ -118,9 +118,17 @@ def serialize_automaton(a: Nfa) -> str:
     return "\n".join(lines).rstrip() + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file, for both loaders; other bytes are a FormatError."""
+    with open(path, "rb") as fh:
+        try:
+            return fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_automaton(path: str) -> Nfa:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_automaton(fh.read())
+    return parse_automaton(_read_text(path))
 
 
 def save_automaton(path: str, a: Nfa) -> None:
@@ -146,8 +154,7 @@ def parse_words(text: str) -> list[Word]:
 
 
 def load_words(path: str) -> list[Word]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_words(fh.read())
+    return parse_words(_read_text(path))
 
 
 def serialize_words(words: list[Word]) -> str:

@@ -54,15 +54,22 @@ def solve_keeping_the_search_candidate(spec):
     """`solve(spec)`, and the on-demand candidate its search read."""
     made = []
 
-    def keep(product):
-        made.append(real(product))
-        return made[-1]
+    def keep(searched, spec):
+        made.append(searched)
+        return real(searched, spec)
 
-    real = equations._complement_on_demand
-    with mock.patch.object(equations, "_complement_on_demand", keep):
+    real = equations._apply
+    with mock.patch.object(equations, "_apply", keep):
         solution = solve(spec)
     (searched,) = made
     return solution, searched
+
+
+def step_to_the_end(on_demand):
+    """Step an `_OnDemand` until no numbered state is left unexpanded; its state count."""
+    while fresh := ((1 << on_demand.state_count) - 1) & ~on_demand._expanded:
+        on_demand._step(fresh)
+    return on_demand.state_count
 
 
 def plain_shuffle():

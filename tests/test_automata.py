@@ -731,8 +731,9 @@ def test_only_automata_compares_operand_alphabets():
 
 def test_one_state_budget():
     """No function takes a `cap`.  Only `automata` names the budget (the
-    package `__init__` exports it), read by the two walks that count and
-    by the union, which counts before it builds."""
+    package `__init__` exports it), read by the two walks that count, by
+    the union, which counts before it builds, and by the check of every
+    new automaton, which bounds a parsed file's declared states."""
     readers = set()
     for name, tree in _source_trees().items():
         for node in ast.walk(tree):
@@ -744,4 +745,18 @@ def test_one_state_budget():
                     readers.add(getattr(node, "name", "lambda"))
         if name != "automata.py":
             assert "DEFAULT_STATE_CAP" not in _named(tree, imports=name != "__init__.py"), name
-    assert readers == {"_number", "_subset_witness", "union_all"}
+    assert readers == {"_check", "_number", "_subset_witness", "union_all"}
+
+
+def test_one_variant_to_construction_rule():
+    """Only `constructions` names the two insertion constructions' parts;
+    every other module picks one through `_insertion_parts`."""
+    for name, tree in _source_trees().items():
+        if name != "constructions.py":
+            assert not _named(tree) & {"_sdi_parts", "_asdi_parts"}, name
+
+
+def test_the_equation_candidate_is_never_trimmed():
+    """The candidate is the masked subset rule of the untrimmed deletion
+    product, stepped or built from the same parts: `equations` has no `trim`."""
+    assert "trim" not in _named(_source_trees()["equations.py"])

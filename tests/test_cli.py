@@ -386,6 +386,31 @@ def test_missing_file_is_usage_error(files, capsys):
     capsys.readouterr()
 
 
+def test_a_file_that_is_not_utf8_is_a_format_error(files, capsys, tmp_path):
+    bad, words = tmp_path / "bad.nfa", tmp_path / "bad.txt"
+    bad.write_bytes(b"alphabet: a \xff\nstates: 1\ninitial: 0\nfinal: 0\n")
+    words.write_bytes(b"ab\n\xff\n")
+    for argv, path in [
+        (["check-format", str(bad)], bad),
+        (["enum", str(bad), "--max-len", "2"], bad),
+        (["check-format", str(words), "--kind", "words"], words),
+        (["op", "--variant", "maxsdi", files["lab.nfa"], "--words", str(words)], words),
+    ]:
+        assert main(argv) == 2
+        at = path.read_bytes().index(0xFF)
+        assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text: invalid start byte at byte {at}\n")
+
+
+def test_a_file_declaring_more_states_than_the_budget_exits_3(capsys, tmp_path):
+    for count, code in [(2**20, 0), (2**20 + 1, 3)]:
+        big = tmp_path / "big.nfa"
+        big.write_text(f"alphabet: a\nstates: {count}\ninitial: 0\nfinal: 0\n")
+        assert main(["check-format", str(big)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured == ("", f"error: automaton has {count} states, more than {2**20}\n")
+
+
 def test_emitted_automata_reparse_equivalent(files, tmp_path):
     out = str(tmp_path / "roundtrip.nfa")
     rc = main(["op", "--variant", "asdi", files["lab.nfa"], files["lab.nfa"], "--out", out])
@@ -451,12 +476,14 @@ def test_op_trajectory_variants_read_words(files, capsys, variant, trajectory):
     ],
 )
 def test_state_budget_exits_3(files, capsys, monkeypatch, argv):
-    # SDI of ab into ab has 7 states; the solve's candidate needs 9 and hits the budget first
+    # SDI of ab into ab has 7 states, so it fails a budget of 6; the solve
+    # loads it as r.nfa, fits a budget of 8, and its candidate needs 9
     files["out.nfa"] = files["tmp"] + "/out.nfa"
-    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 6)
+    cap = 8 if argv[0] == "solve" else 6
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
     assert main([files.get(arg, arg) for arg in argv]) == 3
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: exploration exceeded 6 states\n")
+    assert (captured.out, captured.err) == ("", f"error: exploration exceeded {cap} states\n")
     assert not os.path.exists(files["out.nfa"])
 
 

@@ -317,7 +317,7 @@ def test_independence_expands_each_key_once(monkeypatch, parts):
     # a grown key is paired with many states of b; its moves are computed
     # once per search, not once per pair
     calls = {}
-    real = getattr(decide, parts)
+    real = getattr(constructions, parts)  # read through `_insertion_parts`
 
     def counting(a, b, require_insertion=False):
         start, expand, is_final = real(a, b, require_insertion)
@@ -328,7 +328,7 @@ def test_independence_expands_each_key_once(monkeypatch, parts):
 
         return start, counted, is_final
 
-    monkeypatch.setattr(decide, parts, counting)
+    monkeypatch.setattr(constructions, parts, counting)
     variant = SdiVariant.GENERAL if parts == "_sdi_parts" else SdiVariant.ALPHABETIC
     rng = random.Random(3)
     a = random_nfa(rng, 6, AB, density=0.3)

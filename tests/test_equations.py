@@ -26,7 +26,7 @@ from sdikit.complexity import random_nfa
 from sdikit.equations import _apply
 from sdikit.textio import serialize_automaton
 
-from conftest import AB, ABC, blowup, solve_keeping_the_search_candidate
+from conftest import AB, ABC, blowup, solve_keeping_the_search_candidate, step_to_the_end
 
 
 def _spec(side, variant, known, result):
@@ -139,6 +139,10 @@ def test_candidate_empty_known_and_result_is_universal():
     cand = candidate(spec)
     assert equivalent(cand, Nfa.universal(AB))
     assert verify_solution(cand, spec)
+    # the deletion product's initial state is dead: both candidates step it
+    # to the sink, so each has the start state and the sink
+    solution, searched = solve_keeping_the_search_candidate(spec)
+    assert cand.state_count == solution.candidate.state_count == step_to_the_end(searched) == 2
 
 
 def test_verification_builds_only_what_the_search_reaches():

@@ -53,10 +53,11 @@ from sdikit import (
 )
 from sdikit.automata import _OnDemand, _bits, _canonical_rows, _explore
 from sdikit.constructions import _asdi_parts, _sdi_parts
+from sdikit.equations import _TRAJECTORY_FOR_CASE
 from sdikit.textio import parse_automaton, serialize_automaton
 from sdikit.trajectories import DELETION_ALPHABET
 
-from conftest import AB, all_words, plain_shuffle, small_nfas, solve_keeping_the_search_candidate
+from conftest import AB, all_words, plain_shuffle, small_nfas, solve_keeping_the_search_candidate, step_to_the_end
 
 MAXIMAL, MINIMAL = SdiVariant.MAXIMAL, SdiVariant.MINIMAL
 DECIDERS = ((MAXIMAL, max_sdi_membership), (MINIMAL, min_sdi_membership))
@@ -294,8 +295,11 @@ def test_solve_decides_on_an_on_demand_candidate(known, result):
             lhs = build(cand, known) if side is UnknownSide.LEFT else build(known, cand)
             assert solution.witness == equivalence_witness(lhs, result)
             assert serialize_automaton(solution.candidate) == serialize_automaton(cand)
-            # masked to the co-reachable states, the search's subsets are those of the candidate
-            assert searched.state_count <= cand.state_count
+            assert step_to_the_end(searched) == cand.state_count
+            # the masked subset rule gives the bytes of the complement of the trimmed deletion
+            traj = named_trajectory(_TRAJECTORY_FOR_CASE[side, variant]).language
+            trimmed = deletion_nfa(complement(result), known, traj)
+            assert serialize_automaton(cand) == serialize_automaton(complement(trimmed))
 
 
 @given(

@@ -1,33 +1,33 @@
 """Nondeterministic finite automata and the standard language algebra.
 
-States are dense integer ids 0..state_count-1 with a single initial state
-and no epsilon transitions.  All values are immutable after construction;
-every operation is a pure function of its inputs.  One routine,
-`_OnDemand._number`, numbers every reachable-state construction: the
-start state is 0, each new state takes the next id (and its finality)
-when first reached.  `_explore` runs it eagerly from a LIFO worklist
-and returns the automaton, its epsilon moves folded away; `_OnDemand`
-runs it as far as a subset walk steps it.  It and the inclusion and
-equivalence search read the one state budget, `DEFAULT_STATE_CAP`, when
-they run, `union_all` before it builds, and `Nfa._check` for every new
-automaton; no function takes a budget of its own.  Transitions are
-stored once, as the successor rows `Nfa._delta` {(state, symbol):
-ascending targets}: constructions hand theirs to `Nfa(...)`, which
-groups any other automaton's triples into rows, and every automaton is
-checked once, over its rows.  No other module reads `_delta`, builds
-from rows or compares operand alphabets (`_require_same_alphabet`).
-Per-state walks read the rows; subset walks (membership, subset
-construction, enumeration, the shortest word, the inclusion/equivalence
-search) step int bitsets over `Nfa._masks`.
+States are dense integer ids 0..state_count-1 with a single initial
+state and no epsilon transitions.  All values are immutable after
+construction; every operation is a pure function of its inputs.  Every
+reachable-state construction is one value, (alphabet, start, expand,
+is_final), which `_explore(*value)` builds from a LIFO worklist, its
+epsilon moves folded away, and `_OnDemand(*value)` builds as far as a
+subset walk steps it.  One rule, `_OnDemand._number`, numbers both: the
+start is 0, and each key takes the next id (and its finality) when first
+reached.  It and the inclusion and equivalence search read the one state
+budget, `DEFAULT_STATE_CAP`, when they run, `union_all` before it
+builds, and `Nfa._check` for every new automaton; no function takes a
+budget of its own.  Transitions are stored once, as the successor rows
+`Nfa._delta` {(state, symbol): ascending targets}: constructions hand
+theirs to `Nfa(...)`, which groups any other automaton's triples into
+rows, and every automaton is checked once, over its rows.  No other
+module reads `_delta`, builds from rows or compares operand alphabets
+(`_require_same_alphabet`).  Per-state walks read the rows; subset walks
+(membership, subset construction, enumeration, the shortest word, the
+inclusion/equivalence search) step int bitsets over `Nfa._masks`.
 `determinize`, `complement` and the equation candidate run one subset
 rule, `_subset_parts`: `complement` takes any NFA, keeps only the
 reachable subsets, the empty one as the sink of the total DFA, and
 counts the sink against the state budget; the candidate masks the rule
-to the co-reachable states, and is stepped on demand or built whole.
-`shortest_word` is the one emptiness search and steps each state once.
-Freeness, independence, solution verification and the SDI closure check
-step the SDI construction (and its product with an automaton,
-`_meet_parts`) on demand and build only the states their search reaches.
+to the co-reachable states.  `shortest_word` is the one emptiness search
+and steps each state once.  Freeness, independence, solution
+verification and the SDI closure check step the SDI construction (and
+its product with an automaton, `_meet_parts`, which checks the two
+alphabets) on demand and build only the states their search reaches.
 """
 
 from __future__ import annotations
@@ -222,9 +222,7 @@ class Nfa:
 
     @classmethod
     def from_word(cls, word: Word, alphabet: Alphabet) -> "Nfa":
-        alphabet.check_word(word)
-        trans = frozenset((i, sym, i + 1) for i, sym in enumerate(word))
-        return cls(alphabet, len(word) + 1, 0, frozenset({len(word)}), trans)
+        return cls.from_words([word], alphabet)
 
     @classmethod
     def from_words(cls, words: Iterable[Word], alphabet: Alphabet) -> "Nfa":
@@ -272,9 +270,10 @@ def _explore(
     is_final: Callable[[Hashable], bool],
     cls: type[Nfa] = Nfa,
 ) -> Nfa:
-    """The `cls` automaton over `alphabet` of the keys reachable from
-    `start`: the eager run of `_OnDemand`'s numbering, from a LIFO
-    worklist, with `start` as the initial state 0.
+    """The `cls` automaton of a construction value, `_explore(*value[,
+    cls])`: the keys reachable from `start`, over `alphabet`, numbered by
+    the eager run of `_OnDemand(*value)`'s rule from a LIFO worklist,
+    with `start` as the initial state 0.
 
     `expand(key)` yields the (symbol, key) moves out of a key; a None
     symbol is an internal epsilon move, which `_eliminate_epsilon` folds
@@ -294,7 +293,8 @@ def _explore(
     target (the subset construction, the deletion product) take the
     keyed path as before.
     """
-    run = _OnDemand((), start, expand, is_final)  # no alphabet: no mask rows
+    value = alphabet, start, expand, is_final
+    run = _OnDemand(*value)  # its numbering only: the rows are kept here
     ids, keys, number = run._ids, run._keys, run._number
     stack = [0]
     rows: dict = {}
@@ -349,8 +349,9 @@ def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tupl
 
 
 class _OnDemand:
-    """The construction that `_explore(alphabet, start, expand,
-    is_final)` builds, built only as far as a subset walk steps it.
+    """The construction value (alphabet, start, expand, is_final) that
+    `_explore(*value)` builds, built by `_OnDemand(*value)` only as far
+    as a subset walk steps it.
 
     `_number` is the one id rule: a key gets the next id, and its
     finality is decided, the first time a move reaches it, `start` being
@@ -485,8 +486,8 @@ def membership(a: Nfa, word: Word) -> bool:
 
 
 def _subset_parts(a: Nfa, flip: bool, useful: set[int] | None = None) -> tuple:
-    """The one subset rule: the (start, expand, is_final) of the subset
-    construction of `a` from {initial}, for `_explore` or `_OnDemand`.
+    """The one subset rule: the construction value (alphabet, start,
+    expand, is_final) of the subset construction of `a` from {initial}.
     With `flip`, the empty subset is kept as the sink, so the DFA is
     total, and finality is inverted: the complement of L(a).  With
     `useful`, every row is masked to that set of states.  Masked to the
@@ -506,7 +507,7 @@ def _subset_parts(a: Nfa, flip: bool, useful: set[int] | None = None) -> tuple:
             if nxt or flip:
                 yield sym, nxt
 
-    return 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip
+    return a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip
 
 
 def determinize(a: Nfa) -> Dfa:
@@ -515,7 +516,7 @@ def determinize(a: Nfa) -> Dfa:
 
     Raises ResourceLimitError when more subsets than the budget appear.
     """
-    return _explore(a.alphabet, *_subset_parts(a, False), Dfa)
+    return _explore(*_subset_parts(a, False), Dfa)
 
 
 def complement(a: Nfa) -> Dfa:
@@ -526,27 +527,27 @@ def complement(a: Nfa) -> Dfa:
     Raises ResourceLimitError when more subsets than the budget, the
     sink counted, appear.
     """
-    return _explore(a.alphabet, *_subset_parts(a, True), Dfa)
+    return _explore(*_subset_parts(a, True), Dfa)
 
 
 def product_intersection(a: Nfa, b: Nfa) -> Nfa:
     """Product automaton for L(a) ∩ L(b), reachable pairs only."""
-    alphabet = _require_same_alphabet(a.alphabet, b)
 
     def moves(p: int) -> Iterator[tuple[str, int]]:
-        for sym in alphabet:
+        for sym in a.alphabet:
             for p2 in a.successors(p, sym):
                 yield sym, p2
 
-    return _explore(alphabet, *_meet_parts(a.initial, moves, a.finals.__contains__, b))
+    return _explore(*_meet_parts((a.alphabet, a.initial, moves, a.finals.__contains__), b))
 
 
-def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -> tuple:
-    """The (start, expand, is_final) of the product with `b` of the
-    construction with these parts, for `_explore` or `_OnDemand`.  A key
-    is paired with many states of `b`, so its moves are expanded once per
-    search, in their order, and reused.  The caller checks that the
-    alphabets agree."""
+def _meet_parts(value: tuple, b: Nfa) -> tuple:
+    """The construction value of the product of the construction `value`
+    with `b`, whose alphabet must be the value's.  A key is paired with
+    many states of `b`, so its moves are expanded once per search, in
+    their order, and reused."""
+    alphabet, start, expand, is_final = value
+    _require_same_alphabet(alphabet, b)
     moves: dict[Hashable, tuple[tuple[str, Hashable], ...]] = {}
 
     def meet(pair: tuple[Hashable, int]) -> Iterator[tuple[str, tuple[Hashable, int]]]:
@@ -558,7 +559,7 @@ def _meet_parts(start: Hashable, expand: Callable, is_final: Callable, b: Nfa) -
             for q2 in b.successors(q, sym):
                 yield sym, (nxt, q2)
 
-    return (start, b.initial), meet, lambda pair: pair[1] in b.finals and is_final(pair[0])
+    return alphabet, (start, b.initial), meet, lambda pair: pair[1] in b.finals and is_final(pair[0])
 
 
 def union_all(automata: list[Nfa], alphabet: Alphabet) -> Nfa:

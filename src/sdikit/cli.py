@@ -264,7 +264,7 @@ def _cmd_solve(args) -> int:
         solution = equations.solve(spec)
     except EquationResourceError as exc:
         print(f"resource cap hit: {exc}", file=sys.stderr)
-        if exc.candidate is not None and args.out:
+        if args.out:
             save_automaton(args.out, exc.candidate)
         return EXIT_RESOURCE
     if not solution.solvable:

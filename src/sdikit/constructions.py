@@ -28,12 +28,12 @@ def sdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     With require_insertion=True the inserted middle must be nonempty
     (the z phase cannot be skipped).
     """
-    return _explore(a.alphabet, *_sdi_parts(a, b, require_insertion))
+    return _explore(*_sdi_parts(a, b, require_insertion))
 
 
 def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
-    """The (start, expand, is_final) of `sdi_nfa_direct`, for `_explore`
-    or `_OnDemand`."""
+    """The construction value (alphabet, start, expand, is_final) of
+    `sdi_nfa_direct`."""
     alphabet = _require_same_alphabet(a.alphabet, b)
 
     def expand(key):
@@ -91,7 +91,7 @@ def _sdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
             return key[1] in a.finals and key[2] in b.finals
         return key[0] == "post" and key[1] in a.finals
 
-    return ("pre", a.initial), expand, is_final
+    return alphabet, ("pre", a.initial), expand, is_final
 
 
 def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
@@ -100,12 +100,12 @@ def asdi_nfa_direct(a: Nfa, b: Nfa, require_insertion: bool = False) -> Nfa:
     Three phases: host alone, insert automaton alone between the two
     single-letter joint steps, host alone again.
     """
-    return _explore(a.alphabet, *_asdi_parts(a, b, require_insertion))
+    return _explore(*_asdi_parts(a, b, require_insertion))
 
 
 def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
-    """The (start, expand, is_final) of `asdi_nfa_direct`, for `_explore`
-    or `_OnDemand`."""
+    """The construction value (alphabet, start, expand, is_final) of
+    `asdi_nfa_direct`."""
     alphabet = _require_same_alphabet(a.alphabet, b)
 
     def expand(key):
@@ -135,12 +135,12 @@ def _asdi_parts(a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
                 for p2 in a.successors(p, sym):
                     yield sym, ("post", p2)
 
-    return ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
+    return alphabet, ("pre", a.initial), expand, lambda key: key[0] == "post" and key[1] in a.finals
 
 
 def _insertion_parts(variant: SdiVariant, a: Nfa, b: Nfa, require_insertion: bool = False) -> tuple:
     """The one variant-to-construction rule: the alphabetic construction's
-    parts for ALPHABETIC, the general one's for every other variant."""
+    value for ALPHABETIC, the general one's for every other variant."""
     parts = _asdi_parts if variant is SdiVariant.ALPHABETIC else _sdi_parts
     return parts(a, b, require_insertion)
 

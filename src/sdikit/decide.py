@@ -21,7 +21,6 @@ from .automata import (
     Word,
     _meet_parts,
     _OnDemand,
-    _require_same_alphabet,
     inclusion_witness,
     membership,
     product_intersection,  # unused here; bench/tests patches `decide.product_intersection`
@@ -64,7 +63,7 @@ def is_free(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
     """L(a) ⊕ L(b) = ∅ for the variant.  Max/min freeness coincides with
     general freeness: a site admits a maximal (minimal) insertion iff it
     admits any insertion."""
-    search = _OnDemand(a.alphabet, *_insertion_parts(variant, a, b))
+    search = _OnDemand(*_insertion_parts(variant, a, b))
     return _emptiness_report(f"{variant.value}-free", search)
 
 
@@ -73,15 +72,15 @@ def is_independent(variant: SdiVariant, a: Nfa, b: Nfa) -> DecisionReport:
     Max/min independence coincides with general independence: inserting
     into a host with the whole remaining word as matched outfix is always
     maximal, and single-letter outfixes are always minimal."""
-    grown = _insertion_parts(variant, a, Nfa.sigma_plus(_require_same_alphabet(a.alphabet, b)), True)
-    search = _OnDemand(a.alphabet, *_meet_parts(*grown, b))
+    grown = _insertion_parts(variant, a, Nfa.sigma_plus(a.alphabet), True)
+    search = _OnDemand(*_meet_parts(grown, b))
     return _emptiness_report(f"{variant.value}-independent", search)
 
 
 def is_closed_under_sdi(a: Nfa) -> DecisionReport:
     """L(a) ⊕ L(a) ⊆ L(a)?  Polynomial for DFA input; NFA input may
     exceed the state budget, reported as a resource error."""
-    grown = _OnDemand(a.alphabet, *_insertion_parts(SdiVariant.GENERAL, a, a))
+    grown = _OnDemand(*_insertion_parts(SdiVariant.GENERAL, a, a))
     witness = inclusion_witness(grown, a)
     return DecisionReport(
         "closed-sdi", witness is None, witness, {"explored_states": grown.state_count}

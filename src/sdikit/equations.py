@@ -59,14 +59,14 @@ class EquationSpec:
 
 @dataclass(frozen=True)
 class EquationSolution:
-    """The verdict of `solve`.  `witness` is the length-lex least word in
-    exactly one of R and C ⊕ L, for the maximal candidate C, or None iff
-    the equation is solvable.  `candidate` is C; `solve` builds it for a
-    solvable equation, and for an unsolvable one it is built on first
-    read from its parts, kept in `_parts`."""
+    """The verdict of `solve` on `spec`.  `witness` is the length-lex least word in
+    exactly one of R and C ⊕ L, for the maximal candidate C, or None iff the equation
+    is solvable.  `candidate` is C, built by `solve` if solvable, else on first read
+    from its construction value `_parts`, which takes no part in ==, hash or repr."""
 
     witness: Word | None
-    _parts: tuple = field(repr=False)
+    spec: EquationSpec
+    _parts: tuple = field(repr=False, compare=False)
 
     @property
     def solvable(self) -> bool:
@@ -78,9 +78,9 @@ class EquationSolution:
 
 
 class EquationResourceError(ResourceLimitError):
-    """Resource cap hit mid-solve; carries the candidate when one exists."""
+    """Resource cap hit mid-solve; carries the candidate, built whole."""
 
-    def __init__(self, message: str, candidate: Dfa | None = None):
+    def __init__(self, message: str, candidate: Dfa):
         super().__init__(message)
         self.candidate = candidate
 
@@ -94,14 +94,13 @@ _TRAJECTORY_FOR_CASE = {
 
 
 def _candidate_parts(spec: EquationSpec) -> tuple:
-    """The maximal candidate, defined once as the (alphabet, start,
-    expand, is_final) that `_explore` builds and `_OnDemand` steps: the
-    subset rule, masked to the co-reachable states and flipped, of the
-    deletion product d (built here, untrimmed), which gives
-    `complement(trim(d))` renumbered."""
+    """The maximal candidate, defined once as the construction value
+    that `_explore` builds and `_OnDemand` steps: the subset rule, masked
+    to the co-reachable states and flipped, of the deletion product d
+    (built here, untrimmed), which gives `complement(trim(d))` renumbered."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
     d = _explore(*_deletion_parts(complement(spec.result), spec.known, traj))
-    return (d.alphabet, *_subset_parts(d, True, _coreachable(d)))
+    return _subset_parts(d, True, _coreachable(d))
 
 
 def candidate(spec: EquationSpec) -> Dfa:
@@ -114,7 +113,7 @@ def candidate(spec: EquationSpec) -> Dfa:
 def _apply(solution: Nfa | _OnDemand, spec: EquationSpec) -> _OnDemand:
     """The left-hand side with `solution` for X, built on demand."""
     host, inserted = (solution, spec.known) if spec.side is UnknownSide.LEFT else (spec.known, solution)
-    return _OnDemand(spec.known.alphabet, *_insertion_parts(spec.variant, host, inserted))
+    return _OnDemand(*_insertion_parts(spec.variant, host, inserted))
 
 
 def verify_solution(solution: Nfa, spec: EquationSpec) -> bool:
@@ -139,7 +138,7 @@ def solve(spec: EquationSpec) -> EquationSolution:
         witness = equivalence_witness(_apply(_OnDemand(*parts), spec), spec.result)
     except ResourceLimitError as exc:
         raise EquationResourceError(f"verification hit the state cap: {exc}", _explore(*parts, Dfa)) from exc
-    solution = EquationSolution(witness, parts)
+    solution = EquationSolution(witness, spec, parts)
     if witness is None:
         solution.candidate  # built in the solve, under the budget
     return solution

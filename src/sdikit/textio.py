@@ -119,10 +119,10 @@ def serialize_automaton(a: Nfa) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of a UTF-8 file, for both loaders; other bytes are a FormatError."""
+    """A UTF-8 file's text without a byte-order mark, for both loaders; other bytes are a FormatError."""
     with open(path, "rb") as fh:
         try:
-            return fh.read().decode("utf-8")
+            return fh.read().decode("utf-8").removeprefix("\ufeff")  # "utf-8-sig" shifts error offsets
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

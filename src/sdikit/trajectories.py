@@ -143,7 +143,7 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
 
 
 def _deletion_parts(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> tuple:
-    """The `_explore` arguments of the deletion product (`deletion_nfa`), untrimmed."""
+    """The construction value of the deletion product (`deletion_nfa`), untrimmed."""
 
     def steps(q: int, r: int, sym: str):
         keep, drop, sync = (t.automaton.successors(r, label) for label in "ids")
@@ -157,7 +157,7 @@ def _deletion_parts(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> tuple:
 def _product(
     a: Nfa, b: Nfa, t: TrajectoryLanguage, kind: TrajectoryKind, steps: Callable[[int, int, str], list]
 ) -> tuple:
-    """The `_explore` arguments (alphabet, start, expand, is_final) of the
+    """The construction value (alphabet, start, expand, is_final) of the
     product of a, b and t's automaton over reachable keys (p, q, r), a
     state of each, with the moves of b and t from
     `steps(q, r, symbol)`: a list of groups (advances, moves), each move

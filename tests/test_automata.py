@@ -65,6 +65,15 @@ def test_nfa_validation():
         Nfa(AB, 1, 0, frozenset(), frozenset({(0, "c", 0)}))
 
 
+def test_a_word_is_the_trie_of_one_word():
+    # ids 0..n along the word, final n, for the empty word too
+    for word in ("", "a", "abba"):
+        chain = frozenset((i, sym, i + 1) for i, sym in enumerate(word))
+        assert Nfa.from_word(word, AB) == Nfa(AB, len(word) + 1, 0, frozenset({len(word)}), chain)
+    with pytest.raises(InputError, match="^symbol 'c' not in alphabet 'ab'$"):
+        Nfa.from_word("abc", AB)
+
+
 def test_membership_basic():
     a = astar_b()
     assert membership(a, "aab")
@@ -505,7 +514,7 @@ def test_on_demand_searches_match_the_built_construction(monkeypatch):
                     outcomes.append(
                         _on_demand_outcome(monkeypatch, equivalence_witness, built, _apply(sol, spec), result)
                     )
-        grown = automata._OnDemand(sol.alphabet, *_sdi_parts(sol, sol))
+        grown = automata._OnDemand(*_sdi_parts(sol, sol))
         outcomes.append(_on_demand_outcome(monkeypatch, inclusion_witness, sdi_nfa_direct(sol, sol), grown, sol))
         shapes["equal"] += outcomes.count(None)
         shapes["state budget"] += outcomes.count("exploration exceeded 300 states")
@@ -519,7 +528,7 @@ def test_on_demand_cap_boundary(monkeypatch):
 
     def number_all(cap):
         monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", cap)
-        grown = automata._OnDemand(a.alphabet, *_sdi_parts(a, a))
+        grown = automata._OnDemand(*_sdi_parts(a, a))
         q = 0
         while q < grown.state_count:  # step every numbered state in turn
             grown._step(1 << q)
@@ -530,7 +539,7 @@ def test_on_demand_cap_boundary(monkeypatch):
     with pytest.raises(ResourceLimitError) as on_demand:
         number_all(total - 1)
     with pytest.raises(ResourceLimitError) as built:
-        automata._explore(a.alphabet, *_sdi_parts(a, a))
+        automata._explore(*_sdi_parts(a, a))
     assert str(on_demand.value) == str(built.value) == f"exploration exceeded {total - 1} states"
     assert on_demand.value.details == built.value.details == {"cap": total - 1}
 
@@ -754,6 +763,22 @@ def test_one_variant_to_construction_rule():
     for name, tree in _source_trees().items():
         if name != "constructions.py":
             assert not _named(tree) & {"_sdi_parts", "_asdi_parts"}, name
+
+
+def test_every_walk_takes_one_construction_value():
+    """A construction value carries its own alphabet: every `_OnDemand(...)`
+    call takes one starred value and nothing else, and no `_explore(...)`
+    call passes an argument before a starred value."""
+    for name, tree in _source_trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = [isinstance(arg, ast.Starred) for arg in node.args]
+            if callee == "_OnDemand":
+                assert starred == [True] and not node.keywords, (name, node.lineno)
+            elif callee == "_explore" and True in starred:
+                assert starred.index(True) == 0, (name, node.lineno)
 
 
 def test_the_equation_candidate_is_never_trimmed():

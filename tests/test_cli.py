@@ -21,7 +21,7 @@ from sdikit import (
 from sdikit import automata
 from sdikit.cli import main
 from sdikit.complexity import random_nfa
-from sdikit.textio import load_automaton, save_automaton, serialize_automaton, serialize_words
+from sdikit.textio import load_automaton, load_words, save_automaton, serialize_automaton, serialize_words
 
 from conftest import AB, ABC, ba_blocks
 
@@ -163,6 +163,9 @@ def test_decide_independent(files, capsys):
     rc = main(["decide", "sdi-free", files["lab.nfa"], files["lab.nfa"]])
     assert rc == 1
     assert "witness" in capsys.readouterr().out
+    for predicate in ("sdi-independent", "asdi-independent"):
+        assert main(["decide", predicate, files["lab.nfa"], files["host.nfa"]]) == 2
+        assert capsys.readouterr().err == "error: operand alphabets differ: 'ab' vs 'abc'\n"
 
 
 def test_decide_closed_and_twovar(files, capsys):
@@ -387,18 +390,37 @@ def test_missing_file_is_usage_error(files, capsys):
 
 
 def test_a_file_that_is_not_utf8_is_a_format_error(files, capsys, tmp_path):
-    bad, words = tmp_path / "bad.nfa", tmp_path / "bad.txt"
+    bad, words, marked = tmp_path / "bad.nfa", tmp_path / "bad.txt", tmp_path / "bom-bad.txt"
     bad.write_bytes(b"alphabet: a \xff\nstates: 1\ninitial: 0\nfinal: 0\n")
     words.write_bytes(b"ab\n\xff\n")
+    marked.write_bytes(b"\xef\xbb\xbfab\n\xff\n")  # the offset counts the byte-order mark
     for argv, path in [
         (["check-format", str(bad)], bad),
         (["enum", str(bad), "--max-len", "2"], bad),
         (["check-format", str(words), "--kind", "words"], words),
+        (["check-format", str(marked), "--kind", "words"], marked),
         (["op", "--variant", "maxsdi", files["lab.nfa"], "--words", str(words)], words),
     ]:
         assert main(argv) == 2
         at = path.read_bytes().index(0xFF)
         assert capsys.readouterr() == ("", f"error: {path}: not UTF-8 text: invalid start byte at byte {at}\n")
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(files, capsys, tmp_path):
+    # a file saved with a UTF-8 byte-order mark loads as it does without one
+    text = serialize_automaton(Nfa.from_word("ab", AB))
+    for name, body, kind in [("a.nfa", text, "automaton"), ("w.txt", "ab\nba\n", "words")]:
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_bytes(body.encode("utf-8"))
+        marked.write_bytes(body.encode("utf-8-sig"))
+        load = load_automaton if kind == "automaton" else load_words
+        assert load(str(marked)) == load(str(plain))
+        outputs = []
+        for path in (plain, marked):
+            assert main(["check-format", str(path), "--kind", kind]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert load_words(str(tmp_path / "bom-w.txt")) == ["ab", "ba"]
 
 
 def test_a_file_declaring_more_states_than_the_budget_exits_3(capsys, tmp_path):

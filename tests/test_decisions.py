@@ -280,10 +280,13 @@ def test_on_demand_predicates_match_the_built_path():
 
 
 def test_independence_rejects_an_alphabet_mismatch():
+    # both check through the product with an automaton, `_meet_parts`
     with pytest.raises(InputError, match="^operand alphabets differ: 'ab' vs 'abc'$"):
         is_independent(SdiVariant.GENERAL, Nfa.universal(AB), Nfa.universal(ABC))
     with pytest.raises(InputError, match="^operand alphabets differ: 'ab' vs 'abc'$"):
         is_independent(SdiVariant.ALPHABETIC, Nfa.universal(AB), Nfa.universal(ABC))
+    with pytest.raises(InputError, match="^operand alphabets differ: 'abc' vs 'ab'$"):
+        product_intersection(Nfa.universal(ABC), Nfa.universal(AB))
 
 
 def test_freeness_explores_only_what_it_reaches():
@@ -320,13 +323,13 @@ def test_independence_expands_each_key_once(monkeypatch, parts):
     real = getattr(constructions, parts)  # read through `_insertion_parts`
 
     def counting(a, b, require_insertion=False):
-        start, expand, is_final = real(a, b, require_insertion)
+        alphabet, start, expand, is_final = real(a, b, require_insertion)
 
         def counted(key):
             calls[key] = calls.get(key, 0) + 1
             return expand(key)
 
-        return start, counted, is_final
+        return alphabet, start, counted, is_final
 
     monkeypatch.setattr(constructions, parts, counting)
     variant = SdiVariant.GENERAL if parts == "_sdi_parts" else SdiVariant.ALPHABETIC

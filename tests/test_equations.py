@@ -75,6 +75,21 @@ def test_round_trip_right_alphabetic():
     assert is_subset(s0, solution.candidate)
 
 
+def test_solutions_compare_by_spec_and_witness():
+    # the candidate's construction value holds closures: it takes no part in ==
+    known = Nfa.from_word("ab", AB)
+    solvable = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, sdi_nfa_direct(known, known))
+    unsolvable = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, Nfa.from_word("a", AB))
+    for spec in (solvable, unsolvable):
+        first, second = solve(spec), solve(spec)
+        assert first == second and hash(first) == hash(second)
+        assert repr(first) == repr(second) and "_parts" not in repr(first)
+    assert solve(solvable) != solve(unsolvable)
+    other_side = _spec(UnknownSide.RIGHT, SdiVariant.GENERAL, known, sdi_nfa_direct(known, known))
+    assert solve(other_side).witness == solve(solvable).witness
+    assert solve(other_side) != solve(solvable)
+
+
 def test_unsolvable_single_letter_result():
     known = Nfa.from_word("ab", AB)
     for side in UnknownSide:

@@ -5,7 +5,7 @@ from collections import defaultdict
 from functools import cache
 from itertools import islice
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sdikit import (
     Dfa,
@@ -51,7 +51,7 @@ from sdikit import (
     union_all,
     verify_solution,
 )
-from sdikit.automata import _OnDemand, _bits, _canonical_rows, _explore
+from sdikit.automata import _OnDemand, _bits, _canonical_rows, _coreachable, _explore, _meet_parts, _subset_parts
 from sdikit.constructions import _asdi_parts, _sdi_parts
 from sdikit.equations import _TRAJECTORY_FOR_CASE
 from sdikit.textio import parse_automaton, serialize_automaton
@@ -88,15 +88,18 @@ def test_direct_construction_equals_the_trajectory_product_and_the_oracle(a, b):
         assert set(enumerate_language(direct, 6)) == scan_language(variant, WORDS_6, hosts, inserted)
 
 
-@given(small_nfas(), small_nfas(), st.booleans())
-def test_the_on_demand_and_built_constructions_agree(a, b, require_insertion):
-    # ids differ (the walk, not the worklist, orders them), so compare
-    # sizes and languages, not canonical bytes
-    for parts in (_sdi_parts, _asdi_parts):
-        built = _explore(AB, *parts(a, b, require_insertion))
-        grown = _OnDemand(AB, *parts(a, b, require_insertion))
-        while unexpanded := ((1 << grown.state_count) - 1) & ~grown._expanded:
-            grown._step(unexpanded)
+@given(small_nfas(), small_nfas(), small_nfas(3))
+def test_the_on_demand_and_built_constructions_agree(a, b, c):
+    # every construction value whose moves carry symbols: both insertions,
+    # with and without a nonempty middle, the subset rule plain, flipped
+    # and masked, and a product with c.  Ids differ (the walk, not the
+    # worklist, orders them), so compare sizes and languages, not bytes
+    values = [parts(a, b, nonempty) for parts in (_sdi_parts, _asdi_parts) for nonempty in (False, True)]
+    values += [_subset_parts(a, False), _subset_parts(a, True), _subset_parts(a, True, _coreachable(a))]
+    values.append(_meet_parts(_sdi_parts(a, b), c))
+    for value in values:
+        built, grown = _explore(*value), _OnDemand(*value)
+        step_to_the_end(grown)
         triples = {(q, sym, d) for sym, row in grown._masks.items() for q, bits in row.items() for d in _bits(bits)}
         whole = Nfa(AB, grown.state_count, grown.initial, frozenset(grown.finals), frozenset(triples))
         assert whole.state_count == built.state_count
@@ -302,19 +305,28 @@ def test_solve_decides_on_an_on_demand_candidate(known, result):
             assert serialize_automaton(cand) == serialize_automaton(complement(trimmed))
 
 
+@st.composite
+def _fitting_shuffles(draw):
+    """A shuffle trajectory t, and x and y as long as the symbols t takes from each."""
+    t = draw(st.text("01s", max_size=8))
+    x = draw(st.text("ab", min_size=len(t) - t.count("1"), max_size=len(t) - t.count("1")))
+    y = draw(st.text("ab", min_size=len(t) - t.count("0"), max_size=len(t) - t.count("0")))
+    return x, y, t
+
+
 @given(
     st.frozensets(st.text("ab", max_size=5), max_size=6),
     st.frozensets(st.text("ab", max_size=5), max_size=6),
-    st.text("01s", max_size=8),
-    st.data(),
+    _fitting_shuffles(),
 )
-def test_the_oracle_is_self_consistent(hosts, inserted, t, data):
-    # x and y as long as the symbols t takes from each
-    x = data.draw(st.text("ab", min_size=len(t) - t.count("1"), max_size=len(t) - t.count("1")))
-    y = data.draw(st.text("ab", min_size=len(t) - t.count("0"), max_size=len(t) - t.count("0")))
+# aaa from aaa into aaa only with the bordered right outfix aa: not minimal
+@example(frozenset({"aaa"}), frozenset({"aaa"}), ("", "", ""))
+def test_the_oracle_is_self_consistent(hosts, inserted, shuffle):
+    x, y, t = shuffle
     out = shuffle_on_trajectory(x, y, t)
     assert out is None or len(out) == len(x) + len(y) - t.count("s") == len(t)
     assert shuffle_on_trajectory(x + "a", y, t) is None
+    assert shuffle_on_trajectory(x, y + "a", t) is None
     hosts, sigma_plus = set(hosts), set(WORDS_5[1:])
     for variant in SdiVariant:
         scanned = scan_language(variant, WORDS_5, hosts, set(inserted))

@@ -168,15 +168,6 @@ class Nfa:
             if sym not in symbols:
                 raise InputError(f"transition symbol {sym!r} not in alphabet")
 
-    def _fields(self) -> tuple:
-        return self.alphabet, self.state_count, self.initial, self.finals, self.transitions
-
-    def __eq__(self, other: object) -> bool:
-        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     @cached_property
     def _masks(self) -> dict[str, list[int]]:
         """For each symbol, in alphabet order, the successor bitset of each state, one per row."""
@@ -214,11 +205,6 @@ class Nfa:
     def sigma_plus(cls, alphabet: Alphabet) -> "Nfa":
         trans = {(0, a, 1) for a in alphabet} | {(1, a, 1) for a in alphabet}
         return cls(alphabet, 2, 0, frozenset({1}), frozenset(trans))
-
-    @classmethod
-    def at_most_one_symbol(cls, alphabet: Alphabet) -> "Nfa":
-        trans = frozenset((0, a, 1) for a in alphabet)
-        return cls(alphabet, 2, 0, frozenset({0, 1}), trans)
 
     @classmethod
     def from_word(cls, word: Word, alphabet: Alphabet) -> "Nfa":

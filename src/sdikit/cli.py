@@ -17,6 +17,7 @@ from .automata import (
     Nfa,
     ResourceLimitError,
     Word,
+    is_deterministic,
     is_finite_language,
     length_lex_words,
     membership,
@@ -59,6 +60,12 @@ class _UsageError(InputError):
     pass
 
 
+def _load(paths: Iterable[str], word_lists: Iterable[bool]) -> list[Nfa | list[str]]:
+    """The one reader of operand files, in order: each a word list where
+    `word_lists` says so, else an automaton."""
+    return [load_words(path) if words else load_automaton(path) for path, words in zip(paths, word_lists)]
+
+
 def _operands(args, tries: bool = True) -> list[Nfa | list[str]]:
     """The two operands of `op` or `member`, loaded in order: automaton
     files, or word-list files under --left-words/--right-words (`--words
@@ -72,10 +79,7 @@ def _operands(args, tries: bool = True) -> list[Nfa | list[str]]:
         right, right_words = args.words, True
     if right is None:
         raise _UsageError("two operands required")
-    operands = [
-        load_words(path) if as_words else load_automaton(path)
-        for path, as_words in ((args.left, args.left_words), (right, right_words))
-    ]
+    operands = _load((args.left, right), (args.left_words, right_words))
     alphabet = next((x.alphabet for x in operands if isinstance(x, Nfa)), None)
     if alphabet is None:
         raise _UsageError("at least one operand must be an automaton file")
@@ -122,12 +126,10 @@ def _cmd_op(args) -> int:
     if args.variant in ("shuffle", "deletion"):
         if args.trajectory is None:
             raise _UsageError(f"--variant {args.variant} needs --trajectory (name or file)")
+        kind = TrajectoryKind(args.variant)
         a, b = _operands(args)
-        if args.variant == "shuffle":
-            result = shuffle_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.SHUFFLE))
-        else:
-            result = deletion_nfa(a, b, _load_trajectory(args.trajectory, TrajectoryKind.DELETION))
-        return _emit_result(args, result)
+        op = shuffle_nfa if kind is TrajectoryKind.SHUFFLE else deletion_nfa
+        return _emit_result(args, op(a, b, _load_trajectory(args.trajectory, kind)))
     if args.trajectory is not None:
         raise _UsageError("--trajectory needs --variant shuffle or deletion")
 
@@ -140,13 +142,11 @@ def _cmd_op(args) -> int:
     elif isinstance(left, list):
         result = finite_into_regular(variant, left, right)
     else:
-        # two automata under max/min: not regularity preserving
-        if args.out:
-            raise _UsageError(
-                f"{variant.value} of two automata needs --max-len (no automaton output exists in general)"
-            )
+        # two automata under max/min: not regularity preserving, so only
+        # words up to --max-len (which --out excludes)
         if args.max_len is None:
-            raise _UsageError(f"{variant.value} of two automata needs --max-len")
+            why = " (no automaton output exists in general)" if args.out else ""
+            raise _UsageError(f"{variant.value} of two automata needs --max-len{why}")
         return _write_words(bounded_insertion_words(variant, left, right, args.max_len))
     return _emit_result(args, result)
 
@@ -184,11 +184,6 @@ def _cmd_member(args) -> int:
         answer = membership(insertion_nfa(variant, a, b), word)
     print("true" if answer else "false")
     return EXIT_TRUE if answer else EXIT_FALSE
-
-
-def _report_exit(report: decide.DecisionReport) -> int:
-    print(report)
-    return EXIT_TRUE if report.answer else EXIT_FALSE
 
 
 def _counterexample(variant: SdiVariant, a: Nfa, max_len: int) -> int:
@@ -244,13 +239,12 @@ def _cmd_decide(args) -> int:
         raise _UsageError(f"{pred} needs --max-len")
     if not bounded and args.max_len is not None:
         raise _UsageError(f"{pred} takes no --max-len (its verdict is not bounded)")
-    operands = [
-        load_words(path) if words else load_automaton(path)
-        for words, path in zip(word_lists, args.operands)
-    ]
+    operands = _load(args.operands, word_lists)
     if bounded:
         return decider(*operands, args.max_len)
-    return _report_exit(decider(*operands))
+    report = decider(*operands)
+    print(report)
+    return EXIT_TRUE if report.answer else EXIT_FALSE
 
 
 def _cmd_solve(args) -> int:
@@ -306,8 +300,6 @@ def _cmd_fooling(args) -> int:
 
 
 def _cmd_check_format(args) -> int:
-    from .automata import is_deterministic
-
     if args.kind == "words":
         if args.require_dfa:
             raise _UsageError("--require-dfa needs an automaton, not --kind words")
@@ -315,9 +307,8 @@ def _cmd_check_format(args) -> int:
         print(f"ok: {len(words)} words")
         return EXIT_TRUE
     a = load_automaton(args.file)
-    if args.kind in ("shuffle-trajectory", "deletion-trajectory"):
-        kind = TrajectoryKind.SHUFFLE if args.kind.startswith("shuffle") else TrajectoryKind.DELETION
-        TrajectoryLanguage(kind, a)  # validates the alphabet
+    if args.kind != "automaton":  # a trajectory kind: validates the alphabet
+        TrajectoryLanguage(TrajectoryKind(args.kind.removesuffix("-trajectory")), a)
     deterministic = is_deterministic(a)
     label = "deterministic" if deterministic else "nondeterministic"
     print(f"ok: {a.state_count} states, {len(a.transitions)} transitions, {label}")

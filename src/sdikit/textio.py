@@ -128,7 +128,12 @@ def _read_text(path: str) -> str:
 
 
 def load_automaton(path: str) -> Nfa:
-    return parse_automaton(_read_text(path))
+    """The automaton in the file at `path`; a format error names the file."""
+    text = _read_text(path)
+    try:
+        return parse_automaton(text)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def save_automaton(path: str, a: Nfa) -> None:

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +21,7 @@ from sdikit import (
     sdi_nfa_direct,
     union_all,
 )
-from sdikit import automata
+from sdikit import automata, cli
 from sdikit.cli import main
 from sdikit.complexity import random_nfa
 from sdikit.textio import load_automaton, load_words, save_automaton, serialize_automaton, serialize_words
@@ -421,6 +424,55 @@ def test_a_byte_order_mark_is_not_part_of_the_text(files, capsys, tmp_path):
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] and outputs[0].err == ""
     assert load_words(str(tmp_path / "bom-w.txt")) == ["ab", "ba"]
+
+
+def test_a_format_error_names_its_file(files, capsys, tmp_path):
+    bad = tmp_path / "bad.nfa"
+    bad.write_text("ab\n")
+    for argv in [
+        ["op", "--variant", "sdi", files["lab.nfa"], str(bad)],
+        ["member", "--variant", "maxsdi", "ab", files["lab.nfa"], str(bad)],
+        ["decide", "sdi-independent", files["lab.nfa"], str(bad)],
+        ["decide", "closed-finite-max", str(bad), files["insert.txt"]],
+        ["op", "--variant", "deletion", files["lab.nfa"], files["lab.nfa"], "--trajectory", str(bad)],
+        ["solve", "--side", "left", "--variant", "sdi", str(bad), files["lab.nfa"]],
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: line 1: expected 'FROM SYMBOL -> TO': 'ab'\n")
+    bad.write_text("alphabet: a\nstates: 1\ninitial: 0\nfinal: 0\n0 a -> 1\n")
+    assert main(["check-format", str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: transition (0, 'a', 1) out of range\n")
+
+
+def test_the_cli_holds_no_library_function_outside_a_lambda():
+    """A tracer sees a call only through a module binding it can patch, so
+    no module-level assignment in `cli` holds a function imported from the
+    library: a lambda body looks its names up at call time."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+
+    def held(node):
+        if isinstance(node, ast.Name) and node.id in imported:
+            return getattr(cli, node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in imported:
+            return getattr(getattr(cli, node.value.id), node.attr, None)
+        return None
+
+    def outside_lambda_bodies(node):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(node, ast.Lambda) and child is node.body):
+                yield from outside_lambda_bodies(child)
+
+    found = [
+        (node.lineno, ast.unparse(node))
+        for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value
+        for node in outside_lambda_bodies(stmt.value)
+        if inspect.isfunction(held(node))
+    ]
+    assert not found
 
 
 def test_a_file_declaring_more_states_than_the_budget_exits_3(capsys, tmp_path):

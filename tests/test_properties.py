@@ -222,6 +222,7 @@ def _nonempty(variant, hosts, inserted):
 
 
 @given(small_nfas(2), small_nfas(2), st.frozensets(_SHORT_WORDS, min_size=1, max_size=2))
+@example(Nfa.from_word("aa", AB), Nfa.from_word("aba", AB), frozenset({"ab"}))  # aba into aa only; shortest word 2
 def test_verdicts_carry_certificates(a, b, words):
     hosts, inserted = enumerate_language(a, 5), enumerate_language(b, 5)
     produced = {variant: _nonempty(variant, hosts, inserted) for variant in SdiVariant}

@@ -21,6 +21,7 @@ from sdikit import (
     is_independent,
     max_sdi_membership,
     membership,
+    min_sdi_membership,
     product_intersection,
     scan_language,
     sdi_nfa_direct,
@@ -61,6 +62,25 @@ def test_asdi_variants():
     # aba into aba matches the outfix (ab, a) but no letter pair: aa is no factor
     aba = Nfa.from_word("aba", AB)
     assert is_free(SdiVariant.ALPHABETIC, aba, aba).answer and not is_free(SdiVariant.GENERAL, aba, aba).answer
+
+
+def test_freeness_matches_bounded_oracle_emptiness():
+    rng = random.Random(151)
+    for _ in range(20):
+        a = random_nfa(rng, 2, AB)
+        b = random_nfa(rng, 2, AB)
+        free = is_free(SdiVariant.GENERAL, a, b).answer
+        hosts = enumerate_language(a, 8)
+        inserted = enumerate_language(b, 8)
+        produced_max = bounded_language_op(SdiVariant.MAXIMAL, hosts, inserted)
+        produced_min = bounded_language_op(SdiVariant.MINIMAL, hosts, inserted)
+        # bounded check only: emptiness of the max/min set at the bound
+        if not free:
+            witness = is_free(SdiVariant.GENERAL, a, b).witness
+            assert witness is not None and membership(sdi_nfa_direct(a, b), witness)
+        if produced_max or produced_min:
+            assert not free
+        assert bool(produced_max) == bool(produced_min)
 
 
 def test_independence_identity_on_enumerations():
@@ -122,12 +142,45 @@ def test_closed_under_finite_maxmin_examples():
     assert (report.answer, report.witness) == (False, "aaaaa")
 
 
+def test_closed_under_finite_maxmin_matches_oracle():
+    rng = random.Random(163)
+    for _ in range(10):
+        a = random_nfa(rng, 2, AB)
+        words = {"".join(rng.choice("ab") for _ in range(rng.randint(2, 3)))}
+        for variant in (SdiVariant.MAXIMAL, SdiVariant.MINIMAL):
+            report = closed_under_finite_maxmin(variant, a, words)
+            hosts = enumerate_language(a, 8)
+            produced = bounded_language_op(variant, hosts, words)
+            escaped = [w for w in produced if len(w) <= 8 and not membership(a, w)]
+            if escaped:
+                assert not report.answer
+            if not report.answer:
+                checker = max_sdi_membership if variant is SdiVariant.MAXIMAL else min_sdi_membership
+                assert checker(report.witness, a, Nfa.from_words(words, AB))
+                assert not membership(a, report.witness)
+
+
 def test_two_var_solvable():
     sigma2 = sdi_nfa_direct(Nfa.universal(AB), Nfa.universal(AB))  # all words length >= 2
     assert two_var_solvable(sigma2).answer
     report = two_var_solvable(Nfa.from_word("a", AB))
     assert not report.answer and report.witness == "a"
     assert two_var_solvable(Nfa.empty_language(AB)).answer
+
+
+def test_two_var_matches_length_criterion():
+    rng = random.Random(167)
+    for _ in range(20):
+        r = random_nfa(rng, rng.randint(1, 3), AB)
+        words = enumerate_language(r, 6)
+        short_exists = any(len(w) < 2 for w in words)
+        report = two_var_solvable(r)
+        if short_exists:
+            assert not report.answer
+        # absence of short words at the bound is conclusive here: length < 2
+        # membership is decided exactly by the product construction
+        else:
+            assert report.answer
 
 
 def test_counterexample_search():

@@ -5,26 +5,32 @@ state and no epsilon transitions.  All values are immutable after
 construction; every operation is a pure function of its inputs.  Every
 reachable-state construction is one value, (alphabet, start, expand,
 is_final), which `_explore(*value)` builds from a LIFO worklist, its
-epsilon moves folded away, and `_OnDemand(*value)` builds as far as a
-subset walk steps it.  One rule, `_OnDemand._number`, numbers both: the
-start is 0, and each key takes the next id (and its finality) when first
-reached.  It and the inclusion and equivalence search read the one state
-budget, `DEFAULT_STATE_CAP`, when they run, `union_all` before it
-builds, and `Nfa._check` for every new automaton; no function takes a
-budget of its own.  Transitions are stored once, as the successor rows
-`Nfa._delta` {(state, symbol): ascending targets}: constructions hand
-theirs to `Nfa(...)`, which groups any other automaton's triples into
-rows, and every automaton is checked once, over its rows.  No other
-module reads `_delta`, builds from rows or compares operand alphabets
-(`_require_same_alphabet`).  Per-state walks read the rows; subset walks
-(membership, subset construction, enumeration, the shortest word, the
-inclusion/equivalence search) step int bitsets over `Nfa._masks`.
-`determinize`, `complement` and the equation candidate run one subset
-rule, `_subset_parts`: `complement` takes any NFA, keeps only the
-reachable subsets, the empty one as the sink of the total DFA, and
-counts the sink against the state budget; the candidate masks the rule
-to the co-reachable states.  `shortest_word` is the one emptiness search
-and steps each state once.  Freeness, independence, solution
+epsilon moves folded away after numbering (`_eliminate_epsilon`), and
+`_OnDemand(*value)` builds as far as a subset walk steps it; a value
+with epsilon moves is stepped as `_OnDemand(*_folded(value))`, which
+folds each key's epsilon closure when the key is numbered.  One rule,
+`_OnDemand._number`, numbers both: the start is 0, and each key takes
+the next id (and its finality) when first reached.  It and the inclusion
+and equivalence search read the one state budget, `DEFAULT_STATE_CAP`,
+when they run, `union_all` before it builds, and `Nfa._check` for every
+new automaton; no function takes a budget of its own.  Transitions are
+stored once, as the successor rows `Nfa._delta` {(state, symbol):
+ascending targets}: constructions hand theirs to `Nfa(...)`, which
+groups any other automaton's triples into rows, and every automaton is
+checked once, over its rows.  No other module reads `_delta`, builds from
+rows or compares operand alphabets (`_require_same_alphabet`).  Per-state
+walks read the rows; subset walks (membership, subset construction,
+enumeration, the shortest word, the inclusion/equivalence search) step
+int bitsets over `Nfa._masks`.  `determinize`, `complement` and the
+equation candidate run one subset rule, `_subset_parts`, which steps a
+subset by the automaton's `_step` and reads its `_final_bits` afresh, so
+it runs over a built `Nfa` or an `_OnDemand` alike: `complement` takes
+any NFA, keeps only the reachable subsets, the empty one as the sink of
+the total DFA, and counts the sink against the state budget; the
+equation solver's search runs it over the folded deletion product on
+demand, and its built candidate masks the rule to the co-reachable
+states of the product built whole.  `shortest_word` is the one emptiness
+search and steps each state once.  Freeness, independence, solution
 verification and the SDI closure check step the SDI construction (and
 its product with an automaton, `_meet_parts`, which checks the two
 alphabets) on demand and build only the states their search reaches.
@@ -263,8 +269,9 @@ def _explore(
 
     `expand(key)` yields the (symbol, key) moves out of a key; a None
     symbol is an internal epsilon move, which `_eliminate_epsilon` folds
-    away before the automaton is built.  Serialized output depends on
-    the worklist order.  Every key is reachable from 0 before the
+    away before the automaton is built (`_folded` is the on-demand fold,
+    whose ids differ).  Serialized output depends on the worklist
+    order.  Every key is reachable from 0 before the
     epsilon moves are folded, so the language is empty exactly when
     there is no final state; a state entered only by epsilon moves
     keeps its id but is unreachable afterwards.  Raises
@@ -334,6 +341,36 @@ def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tupl
     return new_finals, new_rows
 
 
+def _folded(value: tuple) -> tuple:
+    """The construction value `value` with its epsilon moves folded away,
+    key by key, for `_OnDemand` to step: a key moves on each symbol
+    wherever a key of its epsilon closure does, and is final when one of
+    them is.  A key's closure, and so its finality and its symbol moves,
+    is worked out once, when the key is numbered (`is_final`, which
+    `_OnDemand._number` calls before the key can be expanded); its moves
+    are dropped once `expand` has handed them over.  Keys reached only by
+    epsilon moves are never numbered.  Same language as `_explore(*value)`,
+    other ids: `_explore` folds with `_eliminate_epsilon`, after numbering."""
+    alphabet, start, expand, is_final = value
+    pending: dict[Hashable, list[tuple[str, Hashable]]] = {}
+
+    def fold(key: Hashable) -> bool:
+        moves, final, closure, stack = [], False, {key}, [key]
+        while stack:
+            inner = stack.pop()
+            final = final or is_final(inner)
+            for sym, nxt in expand(inner):
+                if sym is not None:
+                    moves.append((sym, nxt))
+                elif nxt not in closure:
+                    closure.add(nxt)
+                    stack.append(nxt)
+        pending[key] = moves
+        return final
+
+    return alphabet, start, pending.pop, fold
+
+
 class _OnDemand:
     """The construction value (alphabet, start, expand, is_final) that
     `_explore(*value)` builds, built by `_OnDemand(*value)` only as far
@@ -349,8 +386,8 @@ class _OnDemand:
     (which grows as `_step` numbers keys); and what a construction reads
     of an operand (`constructions._insertion_parts`): `successors` and
     `finals` (the final states numbered so far).  Moves carry symbols,
-    never None.  Raises ResourceLimitError when more keys than the
-    budget are numbered.
+    never None (`_folded` folds a value's epsilon moves first).  Raises
+    ResourceLimitError when more keys than the budget are numbered.
     """
 
     initial = 0
@@ -471,29 +508,33 @@ def membership(a: Nfa, word: Word) -> bool:
     return bool(states & a._final_bits)
 
 
-def _subset_parts(a: Nfa, flip: bool, useful: set[int] | None = None) -> tuple:
+def _subset_parts(a: Nfa | _OnDemand, flip: bool, useful: set[int] | None = None) -> tuple:
     """The one subset rule: the construction value (alphabet, start,
     expand, is_final) of the subset construction of `a` from {initial}.
     With `flip`, the empty subset is kept as the sink, so the DFA is
-    total, and finality is inverted: the complement of L(a).  With
-    `useful`, every row is masked to that set of states.  Masked to the
-    co-reachable states, the subsets are those of `trim(a)` renumbered,
-    even when the initial state is useless: it steps to the sink."""
-    symbols, finals = a.alphabet.symbols, a._final_bits
-    if useful is None:
-        masks = a._masks
-    else:  # `a._masks`, masked, without caching the unmasked rows on `a`
+    total, and finality is inverted: the complement of L(a).  A subset
+    steps by `a._step` and reads `a._final_bits` afresh, so `a` may be an
+    `_OnDemand`, which numbers its states as the subsets reach them.
+    With `useful` (a built `a` only), every row is masked to that set of
+    states.  Masked to the co-reachable states, the subsets are those of
+    `trim(a)` renumbered, even when the initial state is useless: it
+    steps to the sink."""
+    symbols, step = a.alphabet.symbols, a._step
+    if useful is not None:  # `a._masks`, masked, without caching the unmasked rows on `a`
         masks = {sym: [0] * a.state_count for sym in symbols}
         for (src, sym), row in a._delta.items():
             if src in useful:
                 masks[sym][src] = _mask(q for q in row if q in useful)
 
+        def step(subset: int) -> list[int]:
+            return _step_all(subset, masks)
+
     def expand(subset: int) -> Iterator[tuple[str, int]]:
-        for sym, nxt in zip(symbols, _step_all(subset, masks)):
+        for sym, nxt in zip(symbols, step(subset)):
             if nxt or flip:
                 yield sym, nxt
 
-    return a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & finals) != flip
+    return a.alphabet, 1 << a.initial, expand, lambda subset: bool(subset & a._final_bits) != flip
 
 
 def determinize(a: Nfa) -> Dfa:

@@ -7,10 +7,16 @@ maximal candidate: a superset of every solution.  A solution exists
 exactly when that candidate is itself a solution, which is checked by
 substituting it back: one equivalence search between C ⊕ L and R, whose
 least distinguishing word is the certificate of an unsolvable equation.
-`solve` steps the one candidate (`_candidate_parts`) on demand in that
-search and builds it whole only when the search finds no word, so an
-unsolvable equation costs only the candidate states its witness reaches,
-and a solvable one is never reported without the full search.
+Both the search and the built candidate start from one value, the
+deletion product d (`_deletion`).  The search steps the unmasked subset
+rule over d, its epsilon moves folded on demand (`automata._folded`), so
+an unsolvable equation costs only the product keys and candidate states
+its witness reaches.  Only the search reads that candidate, and only its
+language matters there.  The bytes of the candidate come from the one
+built whole (`_built_candidate`): d built whole and the subset rule masked
+to its co-reachable states, made only for a solvable equation, on first
+read, or when the search hits the state budget.  A solvable equation is
+never reported without the full search.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .automata import (
     Word,
     _coreachable,
     _explore,
+    _folded,
     _OnDemand,
     _require_same_alphabet,
     _subset_parts,
@@ -62,7 +69,8 @@ class EquationSolution:
     """The verdict of `solve` on `spec`.  `witness` is the length-lex least word in
     exactly one of R and C ⊕ L, for the maximal candidate C, or None iff the equation
     is solvable.  `candidate` is C, built by `solve` if solvable, else on first read
-    from its construction value `_parts`, which takes no part in ==, hash or repr."""
+    from `_parts`, the construction value of the deletion product (`_deletion`),
+    which takes no part in ==, hash or repr."""
 
     witness: Word | None
     spec: EquationSpec
@@ -74,7 +82,7 @@ class EquationSolution:
 
     @cached_property
     def candidate(self) -> Dfa:
-        return _explore(*self._parts, Dfa)
+        return _built_candidate(self._parts)
 
 
 class EquationResourceError(ResourceLimitError):
@@ -93,21 +101,27 @@ _TRAJECTORY_FOR_CASE = {
 }
 
 
-def _candidate_parts(spec: EquationSpec) -> tuple:
-    """The maximal candidate, defined once as the construction value
-    that `_explore` builds and `_OnDemand` steps: the subset rule, masked
-    to the co-reachable states and flipped, of the deletion product d
-    (built here, untrimmed), which gives `complement(trim(d))` renumbered."""
+def _deletion(spec: EquationSpec) -> tuple:
+    """The construction value of the deletion product d: the known operand
+    deleted from the complement of the result (made here, once per solve)
+    along the inverse trajectories for the unknown side, untrimmed."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
-    d = _explore(*_deletion_parts(complement(spec.result), spec.known, traj))
-    return _subset_parts(d, True, _coreachable(d))
+    return _deletion_parts(complement(spec.result), spec.known, traj)
+
+
+def _built_candidate(deletion: tuple) -> Dfa:
+    """The maximal candidate, built whole from the construction value of
+    d: the subset rule, masked to the co-reachable states and flipped, of
+    d built whole (untrimmed), which gives `complement(trim(d))` renumbered."""
+    d = _explore(*deletion)
+    return _explore(*_subset_parts(d, True, _coreachable(d)), Dfa)
 
 
 def candidate(spec: EquationSpec) -> Dfa:
     """Maximal solution candidate: the complement of the deletion of the
     known operand from the complement of the result along the inverse
-    trajectories for the unknown side, built from `_candidate_parts`."""
-    return _explore(*_candidate_parts(spec), Dfa)
+    trajectories for the unknown side."""
+    return _built_candidate(_deletion(spec))
 
 
 def _apply(solution: Nfa | _OnDemand, spec: EquationSpec) -> _OnDemand:
@@ -125,20 +139,23 @@ def solve(spec: EquationSpec) -> EquationSolution:
     """Decide the equation, with its witness or its maximal candidate.
 
     The candidate C is a superset of all solutions, and the equation is
-    solvable iff C ⊕ L = R.  That equivalence search steps C on demand
-    (an `_OnDemand` of `_candidate_parts`), so it numbers only the states
-    of C it reaches; the whole of C is built, from the same parts, only
-    when the search finds no witness.  Within the state budget the answer
-    is the one the built candidate gives.  When the search hits the
-    budget, C is built whole: its own budget error propagates as it is,
-    and otherwise an EquationResourceError carries it.
+    solvable iff C ⊕ L = R.  That equivalence search steps C on demand:
+    the flipped subset rule over the deletion product d, itself stepped
+    with its epsilon moves folded (`_folded`), so it numbers only the keys
+    of d and the states of C it reaches.  The whole of C is built from d
+    (`_built_candidate`) only when the search finds no witness.  The
+    searched C has C's language, so within the state budget the answer is
+    the one the built candidate gives.  When the search hits the budget,
+    C is built whole: its own budget error propagates as it is, and
+    otherwise an EquationResourceError carries it.
     """
-    parts = _candidate_parts(spec)
+    deletion = _deletion(spec)
     try:
-        witness = equivalence_witness(_apply(_OnDemand(*parts), spec), spec.result)
+        searched = _OnDemand(*_subset_parts(_OnDemand(*_folded(deletion)), True))
+        witness = equivalence_witness(_apply(searched, spec), spec.result)
     except ResourceLimitError as exc:
-        raise EquationResourceError(f"verification hit the state cap: {exc}", _explore(*parts, Dfa)) from exc
-    solution = EquationSolution(witness, spec, parts)
+        raise EquationResourceError(f"verification hit the state cap: {exc}", _built_candidate(deletion)) from exc
+    solution = EquationSolution(witness, spec, deletion)
     if witness is None:
         solution.candidate  # built in the solve, under the budget
     return solution

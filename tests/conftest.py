@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import settings, strategies as st
 
-from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage, equations, solve
+from sdikit import Alphabet, Nfa, TrajectoryKind, TrajectoryLanguage, automata, equations, solve
 from sdikit.trajectories import SHUFFLE_ALPHABET
 
 # Derandomized: every run draws the same examples, so tier-1 stays
@@ -63,6 +63,19 @@ def solve_keeping_the_search_candidate(spec):
         solution = solve(spec)
     (searched,) = made
     return solution, searched
+
+
+def count_numbered(monkeypatch):
+    """Record in the returned list every key `_OnDemand._number` numbers
+    from now on (so every key `_explore` numbers)."""
+    number, numbered = automata._OnDemand._number, []
+
+    def counting(self, key):
+        numbered.append(key)
+        return number(self, key)
+
+    monkeypatch.setattr(automata._OnDemand, "_number", counting)
+    return numbered
 
 
 def step_to_the_end(on_demand):

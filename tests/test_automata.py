@@ -782,6 +782,7 @@ def test_every_walk_takes_one_construction_value():
 
 
 def test_the_equation_candidate_is_never_trimmed():
-    """The candidate is the masked subset rule of the untrimmed deletion
-    product, stepped or built from the same parts: `equations` has no `trim`."""
+    """The candidate is built by the subset rule masked to the co-reachable
+    states of the untrimmed deletion product, and searched by the unmasked
+    rule over that product folded on demand: `equations` has no `trim`."""
     assert "trim" not in _named(_source_trees()["equations.py"])

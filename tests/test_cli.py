@@ -26,7 +26,7 @@ from sdikit.cli import main
 from sdikit.complexity import random_nfa
 from sdikit.textio import load_automaton, load_words, save_automaton, serialize_automaton, serialize_words
 
-from conftest import AB, ABC, ba_blocks
+from conftest import AB, ABC, ba_blocks, blowup
 
 
 @pytest.fixture
@@ -579,6 +579,16 @@ def test_per_word_union_budget_exits_3(files, capsys, monkeypatch, argv):
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 60)
     assert main([files.get(arg, arg) for arg in argv]) == 3
     assert capsys.readouterr() == ("", "error: union exceeded 60 states\n")
+
+
+def test_solve_answers_unsolvable_within_a_budget_its_deletion_product_exceeds(files, capsys, monkeypatch):
+    # the search numbers 1,590 keys of a deletion product of 3,136
+    known, result = files["tmp"] + "/known.nfa", files["tmp"] + "/blowup8.nfa"
+    save_automaton(known, Nfa.from_words(["ab", "ba", "abb"], AB))
+    save_automaton(result, blowup(8))
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2000)
+    assert main(["solve", "--side", "left", "--variant", "sdi", known, result]) == 1
+    assert capsys.readouterr() == ("unsolvable\n", "")
 
 
 def test_solve_writes_the_candidate_when_verification_hits_the_budget(files, capsys, monkeypatch):

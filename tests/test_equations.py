@@ -12,11 +12,13 @@ from sdikit import (
     UnknownSide,
     asdi_nfa_direct,
     candidate,
+    complement,
     determinize,
     enumerate_language,
     equivalent,
     is_subset,
     membership,
+    named_trajectory,
     sdi_nfa_direct,
     solve,
     union_all,
@@ -25,8 +27,9 @@ from sdikit import (
 from sdikit.complexity import random_nfa
 from sdikit.equations import _apply
 from sdikit.textio import serialize_automaton
+from sdikit.trajectories import _deletion_parts
 
-from conftest import AB, ABC, blowup, solve_keeping_the_search_candidate, step_to_the_end
+from conftest import AB, ABC, blowup, count_numbered, solve_keeping_the_search_candidate, step_to_the_end
 
 
 def _spec(side, variant, known, result):
@@ -184,6 +187,29 @@ def test_solve_searches_only_part_of_an_unsolvable_candidate():
     assert "candidate" not in vars(solution)
     assert solution.candidate.state_count == 1404
     assert serialize_automaton(solution.candidate) == serialize_automaton(candidate(spec))
+
+
+def _blowup8_spec():
+    """Unsolvable, witness a^9; its whole deletion product has 3,136 states."""
+    return _spec(UnknownSide.LEFT, SdiVariant.GENERAL, Nfa.from_words(["ab", "ba", "abb"], AB), blowup(8))
+
+
+def test_solve_numbers_only_part_of_the_deletion_product(monkeypatch):
+    spec = _blowup8_spec()
+    traj = named_trajectory("T1").language
+    whole = automata._explore(*_deletion_parts(complement(spec.result), spec.known, traj)).state_count
+    assert whole == 3136
+    numbered = count_numbered(monkeypatch)
+    assert solve(spec).witness == "a" * 9
+    # the product's keys are the int triples (p, q, r); the SDI construction's are tagged
+    product_keys = [key for key in numbered if type(key) is tuple and type(key[0]) is int]
+    assert len(product_keys) == 1590 < whole
+
+
+def test_an_unsolvable_equation_is_answered_within_a_budget_its_deletion_product_exceeds(monkeypatch):
+    # the search numbers 1,590 of the product's 3,136 keys
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2000)
+    assert solve(_blowup8_spec()).witness == "a" * 9
 
 
 def test_a_solvable_solution_carries_its_candidate():

@@ -51,11 +51,20 @@ from sdikit import (
     union_all,
     verify_solution,
 )
-from sdikit.automata import _OnDemand, _bits, _canonical_rows, _coreachable, _explore, _meet_parts, _subset_parts
+from sdikit.automata import (
+    _OnDemand,
+    _bits,
+    _canonical_rows,
+    _coreachable,
+    _explore,
+    _folded,
+    _meet_parts,
+    _subset_parts,
+)
 from sdikit.constructions import _asdi_parts, _sdi_parts
 from sdikit.equations import _TRAJECTORY_FOR_CASE
 from sdikit.textio import parse_automaton, serialize_automaton
-from sdikit.trajectories import DELETION_ALPHABET
+from sdikit.trajectories import DELETION_ALPHABET, _deletion_parts
 
 from conftest import AB, all_words, plain_shuffle, small_nfas, solve_keeping_the_search_candidate, step_to_the_end
 
@@ -88,6 +97,14 @@ def test_direct_construction_equals_the_trajectory_product_and_the_oracle(a, b):
         assert set(enumerate_language(direct, 6)) == scan_language(variant, WORDS_6, hosts, inserted)
 
 
+def _stepped_whole(on_demand):
+    """The automaton an `_OnDemand` has built once stepped to the end."""
+    step_to_the_end(on_demand)
+    masks = on_demand._masks
+    triples = {(q, sym, d) for sym, row in masks.items() for q, bits in row.items() for d in _bits(bits)}
+    return Nfa(on_demand.alphabet, on_demand.state_count, 0, frozenset(on_demand.finals), frozenset(triples))
+
+
 @given(small_nfas(), small_nfas(), small_nfas(3))
 def test_the_on_demand_and_built_constructions_agree(a, b, c):
     # every construction value whose moves carry symbols: both insertions,
@@ -98,13 +115,21 @@ def test_the_on_demand_and_built_constructions_agree(a, b, c):
     values += [_subset_parts(a, False), _subset_parts(a, True), _subset_parts(a, True, _coreachable(a))]
     values.append(_meet_parts(_sdi_parts(a, b), c))
     for value in values:
-        built, grown = _explore(*value), _OnDemand(*value)
-        step_to_the_end(grown)
-        triples = {(q, sym, d) for sym, row in grown._masks.items() for q, bits in row.items() for d in _bits(bits)}
-        whole = Nfa(AB, grown.state_count, grown.initial, frozenset(grown.finals), frozenset(triples))
+        built, whole = _explore(*value), _stepped_whole(_OnDemand(*value))
         assert whole.state_count == built.state_count
         assert len(whole.transitions) == len(built.transitions)
         assert equivalent(whole, built)
+    # the deletion products carry epsilon moves: folded key by key, they
+    # keep the language and never number a key reached only by epsilon
+    # moves; the subset rule steps the folded product as it steps the built one
+    for name in ("T1", "T1a", "T2", "T2a"):
+        value = _deletion_parts(a, b, named_trajectory(name).language)
+        built, whole = _explore(*value), _stepped_whole(_OnDemand(*_folded(value)))
+        assert whole.state_count <= built.state_count
+        assert equivalent(whole, built)
+        for flip in (False, True):
+            stepped = _stepped_whole(_OnDemand(*_subset_parts(_OnDemand(*_folded(value)), flip)))
+            assert equivalent(stepped, _explore(*_subset_parts(built, flip)))
 
 
 @given(small_nfas(), small_nfas(), st.data())
@@ -289,6 +314,7 @@ def test_an_equation_built_from_a_solution_is_solvable(s0, known):
 
 
 @given(small_nfas(3), small_nfas(3))
+@example(Nfa.empty_language(AB), Nfa.empty_language(AB))  # the deletion product's initial state is dead
 def test_solve_decides_on_an_on_demand_candidate(known, result):
     for variant, (build, _, _) in INSERTIONS.items():
         for side in UnknownSide:
@@ -299,7 +325,10 @@ def test_solve_decides_on_an_on_demand_candidate(known, result):
             lhs = build(cand, known) if side is UnknownSide.LEFT else build(known, cand)
             assert solution.witness == equivalence_witness(lhs, result)
             assert serialize_automaton(solution.candidate) == serialize_automaton(cand)
-            assert step_to_the_end(searched) == cand.state_count
+            # the search steps the unmasked subsets of the folded product:
+            # the candidate's language, and subsets differing only in dead states apart
+            stepped = _stepped_whole(searched)
+            assert stepped.state_count >= cand.state_count and equivalent(stepped, cand)
             # the masked subset rule gives the bytes of the complement of the trimmed deletion
             traj = named_trajectory(_TRAJECTORY_FOR_CASE[side, variant]).language
             trimmed = deletion_nfa(complement(result), known, traj)

@@ -24,7 +24,7 @@ from sdikit.complexity import random_nfa
 from sdikit.textio import serialize_automaton
 from sdikit.trajectories import DELETION_ALPHABET, NAMED_TRAJECTORIES, SHUFFLE_ALPHABET, _all_final
 
-from conftest import AB, ABC, all_words, blowup, plain_shuffle, wide_random_nfa
+from conftest import AB, ABC, all_words, blowup, count_numbered, plain_shuffle, wide_random_nfa
 
 
 def test_named_trajectory_membership():
@@ -243,26 +243,13 @@ def _random_trajectory(rng, alphabet):
     )
 
 
-def _count_numbered(monkeypatch):
-    """Record in the returned list every key `_OnDemand._number` numbers
-    from now on (so every key `_explore` numbers)."""
-    number, numbered = automata._OnDemand._number, []
-
-    def counting(self, key):
-        numbered.append(key)
-        return number(self, key)
-
-    monkeypatch.setattr(automata._OnDemand, "_number", counting)
-    return numbered
-
-
 @pytest.mark.parametrize(
     "build,reference,alphabet",
     [(shuffle_nfa, _full_shuffle, SHUFFLE_ALPHABET), (deletion_nfa, _full_deletion, DELETION_ALPHABET)],
 )
 def test_live_pair_table_keeps_the_full_product_bytes(monkeypatch, build, reference, alphabet):
     rng = random.Random(101)
-    numbered = _count_numbered(monkeypatch)
+    numbered = count_numbered(monkeypatch)
     named = [named_trajectory(name).language for name in NAMED_TRAJECTORIES]
     named = [t for t in named if t.automaton.alphabet == alphabet]
     pruned, sizes, wide = 0, set(), False
@@ -287,7 +274,7 @@ def test_live_pair_table_keeps_the_full_product_bytes(monkeypatch, build, refere
 
 def test_deletion_numbers_keys_over_live_pairs_only(monkeypatch):
     host, deleted = complement(blowup(6)), Nfa.from_words(["ab", "ba", "abb"], AB)
-    numbered, counts = _count_numbered(monkeypatch), {}
+    numbered, counts = count_numbered(monkeypatch), {}
     for name in ("T1", "T2", "T1a", "T2a"):
         traj = named_trajectory(name).language
         numbered.clear()

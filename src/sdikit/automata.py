@@ -27,13 +27,14 @@ subset by the automaton's `_step` and reads its `_final_bits` afresh, so
 it runs over a built `Nfa` or an `_OnDemand` alike: `complement` takes
 any NFA, keeps only the reachable subsets, the empty one as the sink of
 the total DFA, and counts the sink against the state budget; the
-equation solver's search runs it over the folded deletion product on
-demand, and its built candidate masks the rule to the co-reachable
-states of the product built whole.  `shortest_word` is the one emptiness
-search and steps each state once.  Freeness, independence, solution
-verification and the SDI closure check step the SDI construction (and
-its product with an automaton, `_meet_parts`, which checks the two
-alphabets) on demand and build only the states their search reaches.
+equation solver runs it over one folded deletion product on demand,
+unmasked for its search and, for its candidate, masked to the
+co-reachable states of that product stepped to the end.  `shortest_word`
+is the one emptiness search and steps each state once.  Freeness,
+independence, solution verification and the SDI closure check step the
+SDI construction (and its product with an automaton, `_meet_parts`,
+which checks the two alphabets) on demand and build only the states
+their search reaches.
 """
 
 from __future__ import annotations
@@ -385,7 +386,8 @@ class _OnDemand:
     `state_count` (the keys numbered so far), `_step` and `_final_bits`
     (which grows as `_step` numbers keys); and what a construction reads
     of an operand (`constructions._insertion_parts`): `successors` and
-    `finals` (the final states numbered so far).  Moves carry symbols,
+    `finals` (the final states numbered so far); and `_delta`, which
+    `_coreachable` reads, once stepped to the end.  Moves carry symbols,
     never None (`_folded` folds a value's epsilon moves first).  Raises
     ResourceLimitError when more keys than the budget are numbered.
     """
@@ -424,6 +426,13 @@ class _OnDemand:
         if self._is_final(key):
             self.finals.add(sid)
         return sid
+
+    @property
+    def _delta(self) -> dict[tuple[int, str], tuple[int, ...]]:
+        """`Nfa._delta` of the whole value: reading it first steps every numbered state."""
+        while fresh := ((1 << len(self._keys)) - 1) & ~self._expanded:
+            self._expand_states(fresh)
+        return {(q, sym): tuple(_bits(bits)) for sym, row in self._masks.items() for q, bits in row.items() if bits}
 
     def _step(self, subset: int) -> list[int]:
         """The successor bitset of `subset` on every symbol, in alphabet order."""
@@ -515,22 +524,16 @@ def _subset_parts(a: Nfa | _OnDemand, flip: bool, useful: set[int] | None = None
     total, and finality is inverted: the complement of L(a).  A subset
     steps by `a._step` and reads `a._final_bits` afresh, so `a` may be an
     `_OnDemand`, which numbers its states as the subsets reach them.
-    With `useful` (a built `a` only), every row is masked to that set of
-    states.  Masked to the co-reachable states, the subsets are those of
-    `trim(a)` renumbered, even when the initial state is useless: it
-    steps to the sink."""
+    With `useful`, the co-reachable states of `a`, every step is masked
+    to that set (a dead state moves only to dead states, so this masks
+    every row): the subsets are those of `trim(a)` renumbered, even when
+    the initial state is useless: it steps to the sink."""
     symbols, step = a.alphabet.symbols, a._step
-    if useful is not None:  # `a._masks`, masked, without caching the unmasked rows on `a`
-        masks = {sym: [0] * a.state_count for sym in symbols}
-        for (src, sym), row in a._delta.items():
-            if src in useful:
-                masks[sym][src] = _mask(q for q in row if q in useful)
-
-        def step(subset: int) -> list[int]:
-            return _step_all(subset, masks)
+    live = -1 if useful is None else _mask(useful)  # -1: every state
 
     def expand(subset: int) -> Iterator[tuple[str, int]]:
         for sym, nxt in zip(symbols, step(subset)):
+            nxt &= live
             if nxt or flip:
                 yield sym, nxt
 

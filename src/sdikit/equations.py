@@ -7,21 +7,21 @@ maximal candidate: a superset of every solution.  A solution exists
 exactly when that candidate is itself a solution, which is checked by
 substituting it back: one equivalence search between C ⊕ L and R, whose
 least distinguishing word is the certificate of an unsolvable equation.
-Both the search and the built candidate start from one value, the
-deletion product d (`_deletion`).  The search steps the unmasked subset
-rule over d, its epsilon moves folded on demand (`automata._folded`), so
-an unsolvable equation costs only the product keys and candidate states
-its witness reaches.  Only the search reads that candidate, and only its
-language matters there.  The bytes of the candidate come from the one
-built whole (`_built_candidate`): d built whole and the subset rule masked
-to its co-reachable states, made only for a solvable equation, on first
-read, or when the search hits the state budget.  A solvable equation is
+Both the search and the built candidate step one value, the deletion
+product d (`_deletion`), its epsilon moves folded on demand
+(`automata._folded`).  The search steps the unmasked subset rule over d,
+so an unsolvable equation costs only the product keys and candidate
+states its witness reaches, and only that candidate's language matters
+there.  The bytes come from the candidate built whole (`_built_candidate`):
+the subset rule masked to the co-reachable states of d stepped to the
+end, the searched d for a solvable equation, else a fresh one, on first
+read or when the search hits the state budget.  A solvable equation is
 never reported without the full search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -68,13 +68,11 @@ class EquationSpec:
 class EquationSolution:
     """The verdict of `solve` on `spec`.  `witness` is the length-lex least word in
     exactly one of R and C ⊕ L, for the maximal candidate C, or None iff the equation
-    is solvable.  `candidate` is C, built by `solve` if solvable, else on first read
-    from `_parts`, the construction value of the deletion product (`_deletion`),
-    which takes no part in ==, hash or repr."""
+    is solvable.  `candidate` is C, built by `solve` from its own deletion product if
+    solvable, else by `candidate(spec)` on first read."""
 
     witness: Word | None
     spec: EquationSpec
-    _parts: tuple = field(repr=False, compare=False)
 
     @property
     def solvable(self) -> bool:
@@ -82,7 +80,7 @@ class EquationSolution:
 
     @cached_property
     def candidate(self) -> Dfa:
-        return _built_candidate(self._parts)
+        return candidate(self.spec)
 
 
 class EquationResourceError(ResourceLimitError):
@@ -101,19 +99,19 @@ _TRAJECTORY_FOR_CASE = {
 }
 
 
-def _deletion(spec: EquationSpec) -> tuple:
-    """The construction value of the deletion product d: the known operand
-    deleted from the complement of the result (made here, once per solve)
-    along the inverse trajectories for the unknown side, untrimmed."""
+def _deletion(spec: EquationSpec) -> _OnDemand:
+    """The deletion product d, epsilon-folded and stepped on demand: the
+    known operand deleted from the complement of the result (made here,
+    once per solve) along the inverse trajectories for the unknown side."""
     traj = named_trajectory(_TRAJECTORY_FOR_CASE[(spec.side, spec.variant)]).language
-    return _deletion_parts(complement(spec.result), spec.known, traj)
+    return _OnDemand(*_folded(_deletion_parts(complement(spec.result), spec.known, traj)))
 
 
-def _built_candidate(deletion: tuple) -> Dfa:
-    """The maximal candidate, built whole from the construction value of
-    d: the subset rule, masked to the co-reachable states and flipped, of
-    d built whole (untrimmed), which gives `complement(trim(d))` renumbered."""
-    d = _explore(*deletion)
+def _built_candidate(d: _OnDemand) -> Dfa:
+    """The maximal candidate, built whole from d stepped to the end: the
+    subset rule, masked to the co-reachable states and flipped, which gives
+    `complement(trim(d))` renumbered.  Its structure, and so its bytes, is
+    the one the same rule gives over `_explore` of d's construction value."""
     return _explore(*_subset_parts(d, True, _coreachable(d)), Dfa)
 
 
@@ -142,20 +140,19 @@ def solve(spec: EquationSpec) -> EquationSolution:
     solvable iff C ⊕ L = R.  That equivalence search steps C on demand:
     the flipped subset rule over the deletion product d, itself stepped
     with its epsilon moves folded (`_folded`), so it numbers only the keys
-    of d and the states of C it reaches.  The whole of C is built from d
-    (`_built_candidate`) only when the search finds no witness.  The
+    of d and the states of C it reaches.  The whole of C is built from the
+    same d (`_built_candidate`) only when the search finds no witness.  The
     searched C has C's language, so within the state budget the answer is
     the one the built candidate gives.  When the search hits the budget,
-    C is built whole: its own budget error propagates as it is, and
-    otherwise an EquationResourceError carries it.
+    C is built from a fresh d (the error may stop d mid-step): its own
+    budget error propagates as it is, else an EquationResourceError carries it.
     """
-    deletion = _deletion(spec)
+    d = _deletion(spec)
     try:
-        searched = _OnDemand(*_subset_parts(_OnDemand(*_folded(deletion)), True))
-        witness = equivalence_witness(_apply(searched, spec), spec.result)
+        witness = equivalence_witness(_apply(_OnDemand(*_subset_parts(d, True)), spec), spec.result)
     except ResourceLimitError as exc:
-        raise EquationResourceError(f"verification hit the state cap: {exc}", _built_candidate(deletion)) from exc
-    solution = EquationSolution(witness, spec, deletion)
-    if witness is None:
-        solution.candidate  # built in the solve, under the budget
+        raise EquationResourceError(f"verification hit the state cap: {exc}", candidate(spec)) from exc
+    solution = EquationSolution(witness, spec)
+    if witness is None:  # built in the solve, under the budget, from the d it stepped
+        vars(solution)["candidate"] = _built_candidate(d)
     return solution

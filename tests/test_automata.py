@@ -782,7 +782,22 @@ def test_every_walk_takes_one_construction_value():
 
 
 def test_the_equation_candidate_is_never_trimmed():
-    """The candidate is built by the subset rule masked to the co-reachable
-    states of the untrimmed deletion product, and searched by the unmasked
-    rule over that product folded on demand: `equations` has no `trim`."""
+    """The candidate is searched by the unmasked rule over the deletion
+    product folded on demand, and built by the rule masked to the
+    co-reachable states of that same product, untrimmed and stepped to the
+    end: `equations` has no `trim`."""
     assert "trim" not in _named(_source_trees()["equations.py"])
+
+
+def test_each_solve_steps_one_deletion_product():
+    """`equations` folds the deletion product in one place (`_deletion`) and
+    builds one automaton whole, the candidate in `_built_candidate`, so the
+    search and the built candidate step one product."""
+    tree = _source_trees()["equations.py"]
+
+    def explore_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_explore"]
+
+    built = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_built_candidate")
+    assert len(explore_calls(tree)) == len(explore_calls(built)) == 1
+    assert sum(isinstance(n, ast.Name) and n.id == "_folded" for n in ast.walk(tree)) == 1

@@ -25,7 +25,7 @@ from sdikit import (
     verify_solution,
 )
 from sdikit.complexity import random_nfa
-from sdikit.equations import _apply
+from sdikit.equations import _apply, _deletion
 from sdikit.textio import serialize_automaton
 from sdikit.trajectories import _deletion_parts
 
@@ -79,7 +79,7 @@ def test_round_trip_right_alphabetic():
 
 
 def test_solutions_compare_by_spec_and_witness():
-    # the candidate's construction value holds closures: it takes no part in ==
+    # a solvable solution caches its candidate: it takes no part in ==, hash or repr
     known = Nfa.from_word("ab", AB)
     solvable = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, sdi_nfa_direct(known, known))
     unsolvable = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, Nfa.from_word("a", AB))
@@ -210,6 +210,35 @@ def test_an_unsolvable_equation_is_answered_within_a_budget_its_deletion_product
     # the search numbers 1,590 of the product's 3,136 keys
     monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2000)
     assert solve(_blowup8_spec()).witness == "a" * 9
+
+
+def test_a_solvable_solve_numbers_each_deletion_product_key_once(monkeypatch):
+    # the search and the built candidate step one folded product
+    known = Nfa.from_words(["ab", "ba"], AB)
+    spec = _spec(UnknownSide.LEFT, SdiVariant.GENERAL, known, sdi_nfa_direct(blowup(3), known))
+    numbered = count_numbered(monkeypatch)
+    solution = solve(spec)
+    assert solution.solvable and solution.candidate.state_count == 53
+    product_keys = [key for key in numbered if type(key) is tuple and type(key[0]) is int]
+    assert len(product_keys) == len(set(product_keys)) == 138
+
+
+def test_the_candidate_fits_a_budget_only_the_folded_deletion_product_fits(monkeypatch):
+    # the folded product has 3,008 keys, the product `_explore` builds 3,136 states
+    spec = _blowup8_spec()
+    assert step_to_the_end(_deletion(spec)) == 3008
+    expected = serialize_automaton(candidate(spec))
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 3100)
+    solution = solve(spec)
+    assert solution.witness == "a" * 9
+    assert solution.candidate.state_count == 764
+    assert serialize_automaton(solution.candidate) == expected
+    # under a budget the folded product exceeds, every read builds afresh and fails alike
+    monkeypatch.setattr(automata, "DEFAULT_STATE_CAP", 2000)
+    solution = solve(spec)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="^exploration exceeded 2000 states$"):
+            solution.candidate
 
 
 def test_a_solvable_solution_carries_its_candidate():

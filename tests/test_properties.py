@@ -53,7 +53,6 @@ from sdikit import (
 )
 from sdikit.automata import (
     _OnDemand,
-    _bits,
     _canonical_rows,
     _coreachable,
     _explore,
@@ -98,11 +97,14 @@ def test_direct_construction_equals_the_trajectory_product_and_the_oracle(a, b):
 
 
 def _stepped_whole(on_demand):
-    """The automaton an `_OnDemand` has built once stepped to the end."""
-    step_to_the_end(on_demand)
-    masks = on_demand._masks
-    triples = {(q, sym, d) for sym, row in masks.items() for q, bits in row.items() for d in _bits(bits)}
-    return Nfa(on_demand.alphabet, on_demand.state_count, 0, frozenset(on_demand.finals), frozenset(triples))
+    """The automaton an `_OnDemand` has built once stepped to the end (reading `_delta` steps it)."""
+    rows = on_demand._delta
+    return Nfa._from_rows(on_demand.alphabet, on_demand.state_count, 0, on_demand.finals, rows)
+
+
+def _masked_candidate(a):
+    """The subset rule over `a`, masked to its co-reachable states and flipped, built whole."""
+    return _explore(*_subset_parts(a, True, _coreachable(a)), Dfa)
 
 
 @given(small_nfas(), small_nfas(), small_nfas(3))
@@ -121,7 +123,8 @@ def test_the_on_demand_and_built_constructions_agree(a, b, c):
         assert equivalent(whole, built)
     # the deletion products carry epsilon moves: folded key by key, they
     # keep the language and never number a key reached only by epsilon
-    # moves; the subset rule steps the folded product as it steps the built one
+    # moves; the subset rule steps the folded product as it steps the built one,
+    # and masked and flipped over either it gives the same candidate bytes
     for name in ("T1", "T1a", "T2", "T2a"):
         value = _deletion_parts(a, b, named_trajectory(name).language)
         built, whole = _explore(*value), _stepped_whole(_OnDemand(*_folded(value)))
@@ -130,6 +133,8 @@ def test_the_on_demand_and_built_constructions_agree(a, b, c):
         for flip in (False, True):
             stepped = _stepped_whole(_OnDemand(*_subset_parts(_OnDemand(*_folded(value)), flip)))
             assert equivalent(stepped, _explore(*_subset_parts(built, flip)))
+        folded = _masked_candidate(_OnDemand(*_folded(value)))
+        assert serialize_automaton(folded) == serialize_automaton(_masked_candidate(built))
 
 
 @given(small_nfas(), small_nfas(), st.data())

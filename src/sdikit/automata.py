@@ -14,27 +14,28 @@ the next id (and its finality) when first reached.  It and the inclusion
 and equivalence search read the one state budget, `DEFAULT_STATE_CAP`,
 when they run, `union_all` before it builds, and `Nfa._check` for every
 new automaton; no function takes a budget of its own.  Transitions are
-stored once, as the successor rows `Nfa._delta` {(state, symbol):
-ascending targets}: constructions hand theirs to `Nfa(...)`, which
-groups any other automaton's triples into rows, and every automaton is
-checked once, over its rows.  No other module reads `_delta`, builds from
-rows or compares operand alphabets (`_require_same_alphabet`).  Per-state
-walks read the rows; subset walks (membership, subset construction,
-enumeration, the shortest word, the inclusion/equivalence search) step
-int bitsets over `Nfa._masks`.  `determinize`, `complement` and the
-equation candidate run one subset rule, `_subset_parts`, which steps a
-subset by the automaton's `_step` and reads its `_final_bits` afresh, so
-it runs over a built `Nfa` or an `_OnDemand` alike: `complement` takes
-any NFA, keeps only the reachable subsets, the empty one as the sink of
-the total DFA, and counts the sink against the state budget; the
-equation solver runs it over one folded deletion product on demand,
-unmasked for its search and, for its candidate, masked to the
-co-reachable states of that product stepped to the end.  `shortest_word`
-is the one emptiness search and steps each state once.  Freeness,
-independence, solution verification and the SDI closure check step the
-SDI construction (and its product with an automaton, `_meet_parts`,
-which checks the two alphabets) on demand and build only the states
-their search reaches.
+stored as the successor rows `Nfa._delta` {(state, symbol): ascending
+targets}: constructions hand theirs to `Nfa(...)`, which groups any
+other automaton's triples into rows and keeps that frozenset too, so
+that its `repr` matches its rows-built twin's (`_RowsView`); every
+automaton is checked once, over its rows.  No other module reads
+`_delta`, builds from rows or compares operand alphabets
+(`_require_same_alphabet`).  Per-state walks read the rows; subset walks
+(membership, subset construction, enumeration, the shortest word, the
+inclusion/equivalence search) step int bitsets over `Nfa._masks`.
+`determinize`, `complement` and the equation candidate run one subset
+rule, `_subset_parts`, which steps a subset by the automaton's `_step`
+and reads its `_final_bits` afresh, so it runs over a built `Nfa` or an
+`_OnDemand` alike: `complement` takes any NFA, keeps only the reachable
+subsets, the empty one as the sink of the total DFA, and counts the sink
+against the state budget; the equation solver runs it over one folded
+deletion product on demand, unmasked for its search and, for its
+candidate, masked to the co-reachable states of that product stepped to
+the end.  `shortest_word` is the one emptiness search and steps each
+state once.  Freeness, independence, solution verification and the SDI
+closure check step the SDI construction (and its product with an
+automaton, `_meet_parts`, which checks the two alphabets) on demand and
+build only the states their search reaches.
 """
 
 from __future__ import annotations
@@ -272,67 +273,56 @@ def _explore(
     symbol is an internal epsilon move, which `_eliminate_epsilon` folds
     away before the automaton is built (`_folded` is the on-demand fold,
     whose ids differ).  Serialized output depends on the worklist
-    order.  Every key is reachable from 0 before the
-    epsilon moves are folded, so the language is empty exactly when
-    there is no final state; a state entered only by epsilon moves
-    keeps its id but is unreachable afterwards.  Raises
-    ResourceLimitError when more keys than the budget are reached.
+    order.  Every key is reachable from 0 before the epsilon moves are
+    folded, so the language is empty exactly when there is no final
+    state; a state entered only by epsilon moves keeps its id but is
+    unreachable afterwards.  Raises ResourceLimitError when more keys
+    than the budget are reached.
 
-    A row starts as a 1-tuple and becomes a list at its second distinct
-    target; lists are deduplicated and sorted at the end.  While one
-    key's moves are read, the last row that is a list stays open: a move
-    on its symbol is appended to it without building and looking up the
-    (state, symbol) key, so runs of moves on one symbol (the SDI and
-    shuffle walks) pay for the key once, and walks whose rows hold one
-    target (the subset construction, the deletion product) take the
-    keyed path as before.
+    Each key is popped once, so its rows are complete once its moves are
+    read: they are grouped by symbol and written then, each as its
+    distinct targets in ascending order.  Its epsilon targets are kept
+    apart, by state, for `_eliminate_epsilon`, never as a row.
     """
     value = alphabet, start, expand, is_final
     run = _OnDemand(*value)  # its numbering only: the rows are kept here
     ids, keys, number = run._ids, run._keys, run._number
     stack = [0]
     rows: dict = {}
-    epsilon = False
+    epsilon: dict[int, list[int]] = {}
     while stack:
         sid = stack.pop()
-        open_sym = open_row = None
+        moves: dict = {}
         for sym, nxt in expand(keys[sid]):
             nid = ids.get(nxt)
             if nid is None:
                 nid = number(nxt)
                 stack.append(nid)
-            if open_row is not None and sym == open_sym:
-                open_row.append(nid)
-                continue
-            key = (sid, sym)
-            row = rows.get(key)
-            if row is None:  # most rows of a subset DFA or a deletion product end here
-                rows[key] = (nid,)
-                if sym is None:
-                    epsilon = True
-            elif row.__class__ is list:
+            row = moves.get(sym)
+            if row is None:
+                moves[sym] = [nid]
+            else:
                 row.append(nid)
-                open_sym, open_row = sym, row
-            elif row[0] != nid:
-                rows[key] = open_row = [row[0], nid]
-                open_sym = sym
-    for key, row in rows.items():
-        if row.__class__ is list:
-            rows[key] = tuple(sorted(set(row)))
+        if None in moves:
+            epsilon[sid] = moves.pop(None)
+        for sym, row in moves.items():
+            rows[sid, sym] = (row[0],) if len(row) == 1 else tuple(sorted(set(row)))
     finals = run.finals
     if epsilon:
-        finals, rows = _eliminate_epsilon(alphabet, finals, rows)
+        finals, rows = _eliminate_epsilon(alphabet, finals, rows, epsilon)
     return cls._from_rows(alphabet, len(keys), 0, finals, rows)
 
 
-def _eliminate_epsilon(alphabet: Alphabet, finals: set[int], rows: dict) -> tuple[set[int], dict]:
-    """Fold the epsilon rows (symbol None) of `rows` into the symbol rows
-    and finals of every state that has them; other states keep theirs."""
-    eps_adj = {src: row for (src, sym), row in rows.items() if sym is None}
-    new_rows = {key: row for key, row in rows.items() if key[1] is not None}
+def _eliminate_epsilon(
+    alphabet: Alphabet, finals: set[int], rows: dict, epsilon: dict[int, list[int]]
+) -> tuple[set[int], dict]:
+    """Fold the epsilon targets `epsilon` {state: targets} into the
+    symbol rows and finals of every state that has them, reading the
+    unfolded `rows` and writing a copy; other states keep theirs."""
+    new_rows = dict(rows)
     new_finals = set(finals)
-    for state in eps_adj:
-        closure = _reach([state], eps_adj)
+    for state in epsilon:
+        closure = _reach([state], epsilon)
         if not closure.isdisjoint(finals):
             new_finals.add(state)
         for sym in alphabet:

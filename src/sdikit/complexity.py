@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .automata import Alphabet, InputError, Nfa, Word, length_lex_words, membership
 from .constructions import insertion_nfa
@@ -95,12 +96,7 @@ def fooling_set_search(
     if not pairs:
         return None
 
-    cache: dict[Word, bool] = {}
-
-    def in_lang(word: Word) -> bool:
-        if word not in cache:
-            cache[word] = membership(a, word)
-        return cache[word]
+    in_lang = cache(partial(membership, a))
 
     def compatible(p: tuple[Word, Word], q: tuple[Word, Word]) -> bool:
         return not (in_lang(p[0] + q[1]) and in_lang(q[0] + p[1]))

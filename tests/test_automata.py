@@ -4,6 +4,7 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sdikit import automata
 from sdikit import (
@@ -654,9 +655,9 @@ def test_rows_store_matches_the_triples(monkeypatch):
     # a deletion product whose epsilon rows are folded away
     eliminate, carried = automata._eliminate_epsilon, []
 
-    def spy(alphabet, finals, rows):
-        carried.append(any(sym is None for _, sym in rows))
-        return eliminate(alphabet, finals, rows)
+    def spy(alphabet, finals, rows, epsilon):
+        carried.append(bool(epsilon) and all(sym is not None for _, sym in rows))
+        return eliminate(alphabet, finals, rows, epsilon)
 
     monkeypatch.setattr(automata, "_eliminate_epsilon", spy)
     for _ in range(10):
@@ -668,10 +669,10 @@ def test_rows_store_matches_the_triples(monkeypatch):
 
 
 @pytest.mark.parametrize("epsilon", [False, True])
-def test_open_row_falls_back_to_the_keyed_rows(monkeypatch, epsilon):
-    # key 0's moves: a row turns into a list and stays open; b breaks the
-    # run; a resumes it; duplicates in a list row and in a 1-tuple row;
-    # b's row becomes a list (now open) while a's is reached through its key
+def test_explore_groups_each_states_moves_by_symbol(monkeypatch, epsilon):
+    # key 0's moves interleave a and b, repeat a target within each
+    # symbol's group and carry one epsilon move: grouped by symbol, each
+    # row is written once, as its distinct targets, when key 0 is read
     zero = [("a", 1), ("a", 2), ("b", 1), ("a", 3), ("a", 1), ("b", 1), (None, 4), ("a", 4),
             ("b", 2), ("a", 2), ("b", 3)]
     moves = {0: zero if epsilon else [m for m in zero if m[0] is not None],
@@ -695,6 +696,46 @@ def test_open_row_falls_back_to_the_keyed_rows(monkeypatch, epsilon):
     reference = Nfa(AB, 7, 0, frozenset(finals), frozenset(triples))
     assert built == reference
     assert (built._delta, built._masks) == _store_from_triples(reference)
+
+
+# key -> its moves: keys 0-5, symbols a, b and epsilon, repeats and interleaving allowed
+_MOVE_TABLES = st.lists(
+    st.lists(st.tuples(st.sampled_from(["a", "b", None]), st.integers(0, 5)), max_size=6),
+    min_size=6,
+    max_size=6,
+)
+
+
+def _naive_explore(moves, finals):
+    """What `_explore` builds from the move table `moves` from key 0: ids
+    given first reached from a LIFO stack, the moves as triples, and every
+    state's epsilon closure folded into its moves and finality."""
+    ids, stack, triples, epsilon = {0: 0}, [0], set(), set()
+    while stack:
+        key = stack.pop()
+        for sym, nxt in moves[key]:
+            if nxt not in ids:
+                ids[nxt] = len(ids)
+                stack.append(nxt)
+            (epsilon if sym is None else triples).add((ids[key], sym, ids[nxt]))
+    folded, folded_finals = set(), set()
+    for state in range(len(ids)):
+        closure, grown = {state}, True
+        while grown:
+            reached = {dst for src, _, dst in epsilon if src in closure}
+            grown = not reached <= closure
+            closure |= reached
+        folded |= {(state, sym, dst) for src, sym, dst in triples if src in closure}
+        if any(ids.get(key) in closure for key in finals):
+            folded_finals.add(state)
+    return Nfa(AB, len(ids), 0, frozenset(folded_finals), frozenset(folded))
+
+
+@given(_MOVE_TABLES, st.frozensets(st.integers(0, 5)))
+def test_explore_equals_a_naive_reference(moves, finals):
+    built = automata._explore(AB, 0, lambda key: iter(moves[key]), finals.__contains__)
+    assert built == _naive_explore(moves, finals)
+    assert (built._delta, built._masks) == _store_from_triples(built)
 
 
 def _source_trees():

@@ -276,7 +276,8 @@ def test_verdicts_carry_certificates(a, b, words):
     assert two_var_solvable(a).answer == (not enumerate_language(a, 1))
 
 
-# variant -> the string operation its independence check grows hosts by
+# variant -> the string operation its independence check grows hosts by (for sdi
+# and asdi, the insertion an equation applies)
 _GROWTH = {variant: sdi_strings for variant in SdiVariant} | {SdiVariant.ALPHABETIC: asdi_strings}
 
 
@@ -338,6 +339,58 @@ def test_solve_decides_on_an_on_demand_candidate(known, result):
             traj = named_trajectory(_TRAJECTORY_FOR_CASE[side, variant]).language
             trimmed = deletion_nfa(complement(result), known, traj)
             assert serialize_automaton(cand) == serialize_automaton(complement(trimmed))
+
+
+# deletion trajectory -> the variant and side of the insertion it inverts
+_INVERTED = {
+    "T1": (SdiVariant.GENERAL, UnknownSide.LEFT),
+    "T1a": (SdiVariant.ALPHABETIC, UnknownSide.LEFT),
+    "T2": (SdiVariant.GENERAL, UnknownSide.RIGHT),
+    "T2a": (SdiVariant.ALPHABETIC, UnknownSide.RIGHT),
+}
+_KNOWN_WORDS = st.frozensets(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _inserted(variant, side, x, known):
+    """x ⊕ L on the left, L ⊕ x on the right, for the finite L `known`."""
+    op = _GROWTH[variant]
+    return set().union(*(op(x, y) if side is UnknownSide.LEFT else op(y, x) for y in known))
+
+
+@given(
+    _KNOWN_WORDS,
+    st.frozensets(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=2),
+    st.none() | st.integers(0, 99),
+    st.none() | st.frozensets(st.text("ab", min_size=2, max_size=5), min_size=1, max_size=6),
+)
+def test_solve_equals_the_finite_equation_oracle(known, solution, dropped, drawn):
+    # R is finite with longest word N, and an output is no shorter than
+    # either operand, so the candidate up to N is found word by word and
+    # C ⊕ L ⊆ R: the witness is the least word of R − C ⊕ L
+    for variant, side in _INVERTED.values():
+        result = drawn or set().union(*(_inserted(variant, side, x, known) for x in solution))
+        if drawn is None and dropped is not None and result:
+            result = result - {sorted(result)[dropped % len(result)]}
+        if not result:
+            continue
+        n = max(map(len, result))
+        cand = [x for x in all_words("ab", n) if _inserted(variant, side, x, known) <= result]
+        covered = set().union(*(_inserted(variant, side, x, known) for x in cand))
+        witness = min(result - covered, key=lambda w: (len(w), w), default=None)
+        spec = EquationSpec(side, variant, Nfa.from_words(known, AB), Nfa.from_words(result, AB))
+        solved = solve(spec)
+        assert solved.witness == witness and solved.solvable == (witness is None)
+        assert enumerate_language(solved.candidate, n) == cand
+
+
+@given(small_nfas(), _KNOWN_WORDS)
+def test_deletion_along_the_inverse_trajectories_inverts_insertion(w, known):
+    # deleting L from L(W) along T1 (T2) gives the x whose insertion
+    # x ⊕ L (L ⊕ x) meets L(W): the complement of the equation candidate
+    for name, (variant, side) in _INVERTED.items():
+        deleted = deletion_nfa(w, Nfa.from_words(known, AB), named_trajectory(name).language)
+        expected = [x for x in WORDS_5 if any(membership(w, z) for z in _inserted(variant, side, x, known))]
+        assert enumerate_language(deleted, 5) == expected
 
 
 @st.composite

@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success or predicate true, 1 predicate false / unsolvable /
-not found, 2 usage or input error, 3 resource cap exceeded.
+not found, 2 usage or input error, 3 resource cap exceeded, 141 (128 +
+SIGPIPE) the reader of stdout closed it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache, partial
 from typing import Iterable
@@ -407,10 +409,19 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader has all it wants: stop quietly, and let the output
+        # still buffered go nowhere when the interpreter shuts down
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a tool a closed pipe stopped
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,9 +7,11 @@ operand while deleting the right: i keeps a symbol, d deletes a matched
 symbol, s keeps a matched symbol.  Both operations preserve regularity
 for regular trajectory sets: each is one product walk (`_product`) over
 (state of the left operand, state of the right, trajectory state), and
-`shuffle_nfa` and `deletion_nfa` differ only in the step rule they hand
-it.  Both are the trimmed `_explore` run of that walk; the equation
-solver reuses the untrimmed deletion product (`_deletion_parts`).
+`shuffle_nfa` and `deletion_nfa` differ only in their row of the letter
+table `_LETTERS`, which says for each trajectory letter which operands
+advance and whether it writes the symbol.  Both are the trimmed
+`_explore` run of that walk; the equation solver reuses the untrimmed
+deletion product (`_deletion_parts`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .automata import Alphabet, InputError, Nfa, _explore, _reach, _require_same_alphabet, trim
 
@@ -114,21 +115,11 @@ def shuffle_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
     """NFA for the semantic shuffle of L(a) and L(b) on trajectories L(t).
 
     A 0-step reads a symbol of a, a 1-step one of b and an s-step the
-    same symbol of both; each advances t.  Built by `_product`, whose
-    groups here are the 0-steps (a advances), the 1-steps (a stays) and
-    the s-steps (a advances).
+    same symbol of both; each advances t.  Built by `_product` from the
+    shuffle row of `_LETTERS`: groups of the 0-steps (a advances), the
+    1-steps (a stays) and the s-steps (a advances).
     """
-
-    def steps(q: int, r: int, sym: str):
-        zero, one, sync = (t.automaton.successors(r, label) for label in "01s")
-        targets = b.successors(q, sym)
-        return [
-            (True, [(sym, q, r2) for r2 in zero]),
-            (False, [(sym, q2, r2) for q2 in targets for r2 in one]),
-            (True, [(sym, q2, r2) for q2 in targets for r2 in sync]),
-        ]
-
-    return trim(_explore(*_product(a, b, t, TrajectoryKind.SHUFFLE, steps)))
+    return trim(_explore(*_product(a, b, t, TrajectoryKind.SHUFFLE)))
 
 
 def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
@@ -136,60 +127,61 @@ def deletion_nfa(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> Nfa:
 
     An i-step keeps a symbol of a, an s-step keeps a symbol that b reads
     too, and a d-step deletes such a symbol, so it is an epsilon move of
-    the result; each advances t.  Built by `_product`, with one group
-    (a advances) of the i-, s- and d-steps.
+    the result; each advances t.  Built by `_product` from the deletion
+    row of `_LETTERS`: one group (a advances) of the i-, s- and d-steps.
     """
     return trim(_explore(*_deletion_parts(a, b, t)))
 
 
 def _deletion_parts(a: Nfa, b: Nfa, t: TrajectoryLanguage) -> tuple:
     """The construction value of the deletion product (`deletion_nfa`), untrimmed."""
-
-    def steps(q: int, r: int, sym: str):
-        keep, drop, sync = (t.automaton.successors(r, label) for label in "ids")
-        targets = b.successors(q, sym)
-        kept = [(sym, q, r2) for r2 in keep] + [(sym, q2, r2) for q2 in targets for r2 in sync]
-        return [(True, kept + [(None, q2, r2) for q2 in targets for r2 in drop])]
-
-    return _product(a, b, t, TrajectoryKind.DELETION, steps)
+    return _product(a, b, t, TrajectoryKind.DELETION)
 
 
-def _product(
-    a: Nfa, b: Nfa, t: TrajectoryLanguage, kind: TrajectoryKind, steps: Callable[[int, int, str], list]
-) -> tuple:
+# What each trajectory letter does, per kind: groups (a advances, letters),
+# each letter (label, b advances, emits); a letter that does not emit the
+# symbol is an epsilon move.  The order of groups and letters fixes the ids.
+_LETTERS = {
+    TrajectoryKind.SHUFFLE: (
+        (True, (("0", False, True),)), (False, (("1", True, True),)), (True, (("s", True, True),))),
+    TrajectoryKind.DELETION: ((True, (("i", False, True), ("s", True, True), ("d", True, False))),),
+}
+
+
+def _product(a: Nfa, b: Nfa, t: TrajectoryLanguage, kind: TrajectoryKind) -> tuple:
     """The construction value (alphabet, start, expand, is_final) of the
     product of a, b and t's automaton over reachable keys (p, q, r), a
-    state of each, with the moves of b and t from
-    `steps(q, r, symbol)`: a list of groups (advances, moves), each move
-    (label, q2, r2) with label None for an epsilon move, which `_explore`
-    folds away.  For each symbol a key steps through the groups in order,
-    and in each group to (p2, q2, r2) for every move, with p2 every
-    successor of p on the symbol if `advances`, else p itself; this order
-    fixes the ids.  The moves come from `_live_moves`, built once per call.
+    state of each, stepped by the letters of `kind` in `_LETTERS`.  A key
+    steps through the entries (symbol, a advances, moves) that
+    `_live_moves` lists for (q, r), and in each to (p2, q2, r2) for every
+    move (label, q2, r2), with p2 every successor of p on the symbol if a
+    advances, else p itself; label None is an epsilon move, which
+    `_explore` folds away.  So the order, which fixes the ids, is symbol,
+    group, successor of p, letter, successor of q, successor of r.
     """
     if t.kind is not kind:
         raise InputError(f"{kind.value}_nfa needs a {kind.value}-kind trajectory language")
     _require_same_alphabet(a.alphabet, b)
     traj = t.automaton
-    table, successors = _live_moves(b, traj, steps), a.successors
+    table, successors = _live_moves(b, traj, _LETTERS[kind]), a.successors
 
     def expand(key: tuple[int, int, int]):
         p, q, r = key
-        for sym, groups in table[q, r]:
-            targets = successors(p, sym)
-            for advances, moves in groups:
-                for p2 in targets if advances else (p,):
-                    for label, q2, r2 in moves:
-                        yield label, (p2, q2, r2)
+        for sym, advances, moves in table[q, r]:
+            for p2 in successors(p, sym) if advances else (p,):
+                for label, q2, r2 in moves:
+                    yield label, (p2, q2, r2)
 
     return a.alphabet, (a.initial, b.initial, traj.initial), expand, _all_final(a, b, traj)
 
 
-def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], list]) -> dict:
-    """The move table of a product with b and traj: for each pair (q, r)
-    of a state of b and a state of traj, the entries (symbol, groups) of
-    `steps(q, r, symbol)`, with only the moves into live pairs, only the
-    groups left with a move, and only the symbols left with a group.
+def _live_moves(b: Nfa, traj: Nfa, letters: tuple) -> dict:
+    """The move table of a product with b and traj, built from `letters`
+    (a row of `_LETTERS`): for each pair (q, r) of a state of b and a
+    state of traj, the entries (symbol, a advances, moves) by symbol,
+    then group, each move (label, q2, r2) labelled None if its letter
+    does not emit the symbol; only the moves into live pairs are kept,
+    and only the entries left with a move.
 
     A pair is live if the pair graph of the moves reaches from it a pair
     of a final of b and a final of traj.  Every path of the product with
@@ -202,25 +194,20 @@ def _live_moves(b: Nfa, traj: Nfa, steps: Callable[[int, int, str], list]) -> di
     and the state budget counts only keys over live pairs.
     """
     pairs = itertools.product(range(b.state_count), range(traj.state_count))
-    moves = {(q, r): [(sym, steps(q, r, sym)) for sym in b.alphabet] for q, r in pairs}
+    moves = {(q, r): [(sym, advances, [(sym if emits else None, q2, r2) for label, b_advances, emits in group
+                                      for q2 in (b.successors(q, sym) if b_advances else (q,))
+                                      for r2 in traj.successors(r, label)])
+                      for sym in b.alphabet for advances, group in letters] for q, r in pairs}
     back: dict = {}
     for pair, row in moves.items():
-        for _, groups in row:
-            for _, group in groups:
-                for _, q2, r2 in group:
-                    back.setdefault((q2, r2), []).append(pair)
+        for _, _, group in row:
+            for _, q2, r2 in group:
+                back.setdefault((q2, r2), []).append(pair)
     live = _reach(itertools.product(b.finals, traj.finals), back)
-
-    def live_groups(groups):
-        return [(advances, kept) for advances, group in groups if (kept := [m for m in group if m[1:] in live])]
-
-    table = {}
-    for pair, row in moves.items():
-        table[pair] = [(sym, kept) for sym, groups in row if (kept := live_groups(groups))]
-    return table
+    return {pair: [(sym, advances, kept) for sym, advances, group in row
+                   if (kept := [m for m in group if m[1:] in live])] for pair, row in moves.items()}
 
 
 def _all_final(a: Nfa, b: Nfa, traj: Nfa):
     """Finality of a product key (state of a, state of b, state of traj)."""
     return lambda key: key[0] in a.finals and key[1] in b.finals and key[2] in traj.finals
-

@@ -54,6 +54,8 @@ def test_alphabet_validation():
         Alphabet(("#",))
     with pytest.raises(InputError):
         Alphabet((" ",))
+    with pytest.raises(InputError):
+        Alphabet(("ab",))
     assert tuple(Alphabet.from_string("ba")) == ("a", "b")
 
 
@@ -263,6 +265,7 @@ def test_enumerate_examples():
     astar = Nfa(Alphabet.from_string("a"), 1, 0, frozenset({0}), frozenset({(0, "a", 0)}))
     assert enumerate_language(astar, 2) == ["", "a", "aa"]
     assert enumerate_language(Nfa.empty_language(AB), 5) == []
+    assert enumerate_language(astar, -1) == []
     assert enumerate_language(ba_blocks(2, "$"), 6) == ["baba$", "baaba$", "babaa$"]
 
 
@@ -820,6 +823,30 @@ def test_every_walk_takes_one_construction_value():
                 assert starred == [True] and not node.keywords, (name, node.lineno)
             elif callee == "_explore" and True in starred:
                 assert starred.index(True) == 0, (name, node.lineno)
+
+
+def test_one_letter_table_steps_both_trajectory_products():
+    """Shuffle and deletion read what a trajectory letter does from one
+    table (`trajectories._LETTERS`), not from a step rule they hand the
+    product: no `_product(...)` or `_live_moves(...)` call passes a lambda
+    or a nested function, and neither `shuffle_nfa` nor `_deletion_parts`
+    defines a function."""
+    trees = _source_trees()
+    for name, tree in trees.items():
+        nested = {
+            inner.name
+            for outer in ast.walk(tree) if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer) if inner is not outer and isinstance(inner, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_product", "_live_moves"):
+                for arg in [*node.args, *(k.value for k in node.keywords)]:
+                    for part in ast.walk(arg):
+                        assert not isinstance(part, ast.Lambda), (name, node.lineno)
+                        assert not (isinstance(part, ast.Name) and part.id in nested), (name, node.lineno)
+    for fn in trees["trajectories.py"].body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("shuffle_nfa", "_deletion_parts"):
+            assert not [n for n in ast.walk(fn) if n is not fn and isinstance(n, (ast.FunctionDef, ast.Lambda))]
 
 
 def test_the_equation_candidate_is_never_trimmed():

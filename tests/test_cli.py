@@ -2,6 +2,8 @@ import ast
 import inspect
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from sdikit import (
     candidate,
     enumerate_language,
     equivalent,
+    finite_into_regular,
     max_sdi_membership,
     oracle,
     sdi_nfa_direct,
@@ -53,6 +56,7 @@ def files(tmp_path):
         "r.nfa", sdi_nfa_direct(Nfa.from_word("ab", AB), Nfa.from_word("ab", AB))
     )
     automaton("single.nfa", Nfa.from_word("a", AB))
+    automaton("star.nfa", Nfa.universal(AB))
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -230,6 +234,11 @@ def test_decide_wrong_operand_count_is_usage_error(files, capsys, predicate, cou
          "--out and --max-len"),
         (["decide", "sdi-free", "lab.nfa", "lab.nfa", "--max-len", "3"], "sdi-free takes no --max-len"),
         (["check-format", "insert.txt", "--kind", "words", "--require-dfa"], "--require-dfa needs an automaton"),
+        # and `op` calls whose operands give nothing to write
+        (["op", "--variant", "sdi", "star.nfa", "lab.nfa"], "result language is infinite"),
+        (["op", "--variant", "sdi", "lab.nfa"], "two operands required"),
+        (["op", "--variant", "sdi", "insert.txt", "insert.txt", "--left-words", "--right-words"],
+         "at least one operand must be an automaton file"),
     ],
 )
 def test_flags_that_would_be_ignored_are_usage_errors(files, capsys, argv, message):
@@ -255,9 +264,43 @@ def test_solve_round_trip(files, capsys):
     capsys.readouterr()
 
 
+def test_solve_prints_the_candidate_it_would_write(files, capsys):
+    argv = ["solve", "--side", "left", "--variant", "sdi", files["lab.nfa"], files["r.nfa"]]
+    out = files["tmp"] + "/solution.nfa"
+    assert main([*argv, "--out", out]) == 0
+    assert capsys.readouterr().out == "solvable\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "solvable\n" + Path(out).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("variant", [SdiVariant.MAXIMAL, SdiVariant.MINIMAL])
+def test_op_maxmin_left_words_writes_finite_into_regular(files, variant):
+    hosts = ["ab", "aab"]
+    words = files["tmp"] + "/hosts.txt"
+    Path(words).write_text("".join(w + "\n" for w in hosts))
+    a = Nfa.from_words({"acb", "aacb", "acab"}, ABC)
+    save_automaton(files["tmp"] + "/a.nfa", a)
+    out = files["tmp"] + "/out.nfa"
+    argv = ["op", "--variant", variant.value, words, files["tmp"] + "/a.nfa", "--left-words", "--out", out]
+    assert main(argv) == 0
+    assert Path(out).read_text(encoding="utf-8") == serialize_automaton(finite_into_regular(variant, hosts, a))
+
+
 def test_enum(files, capsys):
     assert main(["enum", files["pair.nfa"], "--max-len", "2"]) == 0
     assert capsys.readouterr().out.splitlines() == ["b", "ab"]
+
+
+def test_a_reader_closing_the_pipe_ends_the_listing_quietly(files):
+    # (a|b)* up to length 16 is 131,071 lines, far more than a pipe holds
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = [sys.executable, "-m", "sdikit.cli", "enum", files["star.nfa"], "--max-len", "16"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"-\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_word_listings_write_the_serialized_words(tmp_path, capsys):

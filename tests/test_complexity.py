@@ -58,6 +58,8 @@ def test_fooling_search_finds_trivial():
 def test_fooling_search_unreachable_target():
     lang = Nfa.from_word("ab", AB)
     assert fooling_set_search(lang, 50, 2) is None
+    with pytest.raises(InputError):
+        fooling_set_search(lang, 0, 3)
 
 
 def test_fooling_search_results_recheck():

@@ -17,6 +17,7 @@ from sdikit import (
     enumerate_language,
     equivalent,
     finite_into_regular,
+    insertion_nfa,
     is_subset,
     max_sdi_membership,
     max_sdi_single_nfa,
@@ -66,6 +67,13 @@ def test_alphabet_mismatch_raises():
         sdi_nfa_direct(Nfa.universal(AB), Nfa.universal(ABC))
     with pytest.raises(InputError):
         asdi_nfa_direct(Nfa.universal(AB), Nfa.universal(ABC))
+
+
+def test_variants_without_a_construction_raise():
+    with pytest.raises(InputError):
+        insertion_nfa(SdiVariant.MAXIMAL, Nfa.universal(AB), Nfa.universal(AB))
+    with pytest.raises(InputError):
+        finite_into_regular(SdiVariant.GENERAL, {"ab"}, Nfa.universal(AB))
 
 
 def test_require_insertion_drops_identity_results():

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import astuple
 
 import pytest
 
@@ -123,6 +124,10 @@ def test_empty_finals_round_trip():
         pytest.param(_HEADER + "0 a -> -4", id="negative target"),
         pytest.param(_HEADER + "0 ab -> 1", id="multi-character symbol"),
         pytest.param(_HEADER + _MANY_LINES + "\n7 b -> 100", id="one bad triple among 400"),
+        pytest.param(_HEADER + "color: red\n", id="unknown header"),
+        pytest.param("alphabet: a b\nstates: x\ninitial: 0\nfinal: 0\n", id="non-numeric states"),
+        pytest.param("alphabet: a b\nstates: 1 2\ninitial: 0\nfinal: 0\n", id="two states values"),
+        pytest.param(_HEADER + "0 a -> x", id="non-numeric transition id"),
     ],
 )
 def test_parse_errors(bad):
@@ -166,6 +171,9 @@ def test_parse_dfa_flags_nondeterminism():
     parse_automaton(nondet)
     with pytest.raises(FormatError):
         parse_dfa(nondet)
+    det = "alphabet: a b\nstates: 2\ninitial: 0\nfinal: 1\n0 a -> 1\n1 b -> 0"
+    dfa = parse_dfa(det)
+    assert type(dfa) is Dfa and astuple(dfa) == astuple(parse_automaton(det))
 
 
 def test_word_lists():
